@@ -10,7 +10,12 @@ class SchemaError(FlowbenchError):
 
 
 class DataFormatError(FlowbenchError):
-    """A raw CSV cell or row violates the expected format."""
+    """A raw CSV cell or row violates the expected format.
+
+    ``row`` is the 0-based data row of the file, the header not counted,
+    also when deduplication removed rows before it; ``column`` is the
+    column name.
+    """
 
     def __init__(self, message, row=None, column=None):
         loc = []

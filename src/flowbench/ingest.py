@@ -4,14 +4,26 @@ The pipeline is: load_csv -> drop_identifiers -> deduplicate ->
 encode_categoricals -> clean_values. Every step is a pure function on an
 in-memory string table, so the cleaning rules (dash/NaN/Infinity -> 0,
 Boolean tokens -> 0/1, label tokens -> {0,1}) operate on the exact cell
-text the file carried.
+text the file carried. Deduplication runs after the identifier columns
+are dropped and compares that exact text, so ``1.0`` and ``1`` differ.
+
+The steps work column by column with C-level builtins: a numeric column
+goes through ``float`` in one pass and only the cells it rejects reach
+the missing-token rules; Boolean, label and attack-type columns parse
+each distinct token once.
+
+Errors name the row as the 0-based data row of the file (the header is
+not counted), whatever rows deduplication removed before it, and the
+column. When several cells are bad, the first in file order is named.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,10 +39,16 @@ MISSING_TOKENS = frozenset({"", "-", "nan", "inf", "infinity", "-inf", "-infinit
 
 @dataclass
 class RawTable:
-    """A loaded CSV: column names plus rows of string cells."""
+    """A loaded CSV: column names plus rows of string cells.
+
+    The steps build each row as a tuple and never change one in place.
+    ``source_rows[r]`` is the 0-based data row of the file that row ``r``
+    came from; ``None`` means the rows are the file's rows in order.
+    """
 
     columns: list[str]
-    rows: list[list[str]]
+    rows: list[tuple[str, ...]]
+    source_rows: list[int] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -41,6 +59,14 @@ class RawTable:
             return self.columns.index(name)
         except ValueError:
             raise SchemaError(f"column {name!r} not present in table") from None
+
+    def source_row(self, r: int) -> int:
+        """0-based data row of the file that row ``r`` came from."""
+        return r if self.source_rows is None else self.source_rows[r]
+
+    def column(self, i: int) -> list[str]:
+        """The cells of column ``i``, top to bottom."""
+        return list(map(itemgetter(i), self.rows))
 
 
 @dataclass
@@ -113,7 +139,8 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
 
     Every declared non-identifier column must be present (identifiers may
     have been pre-stripped from distributed copies; their absence is only
-    logged). Extra columns are fine. Ragged rows fail with their row index.
+    logged). Extra columns are fine. A ragged row fails naming its 0-based
+    data row (the header is not counted).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -137,33 +164,44 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
                 raise DataFormatError(
                     f"ragged row: expected {width} cells, got {len(row)}", row=i
                 )
-            rows.append(row)
+            rows.append(tuple(row))
     return RawTable(columns=header, rows=rows)
 
 
 def drop_identifiers(table: RawTable, schema: DatasetSchema) -> RawTable:
-    """Remove flow-identifier columns (IPs, ports, timestamps, row ids)."""
+    """Remove flow-identifier columns (IPs, ports, timestamps, row ids).
+
+    The rows come back as tuples of the kept cells.
+    """
     drop = set(schema.identifier_columns) & set(table.columns)
     skipped = set(schema.identifier_columns) - drop
     if skipped:
         log.info("identifier column(s) already absent: %s", sorted(skipped))
     keep = [i for i, c in enumerate(table.columns) if c not in drop]
+    # itemgetter returns a bare cell, not a 1-tuple, for a single index
+    take = itemgetter(*keep) if len(keep) > 1 else (lambda row: tuple(row[i] for i in keep))
     return RawTable(
         columns=[table.columns[i] for i in keep],
-        rows=[[row[i] for i in keep] for row in table.rows],
+        rows=list(map(take, table.rows)),
+        source_rows=table.source_rows,
     )
 
 
 def deduplicate(table: RawTable) -> RawTable:
-    """Keep the first occurrence of each distinct row, preserving order."""
-    seen = set()
-    rows = []
-    for row in table.rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return RawTable(columns=list(table.columns), rows=rows)
+    """Keep the first occurrence of each distinct row, preserving order.
+
+    Rows are equal when their cells have the same exact text. Each kept
+    row keeps its source row, so later errors name the file's row.
+    """
+    first = {}
+    for r, row in enumerate(table.rows):
+        first.setdefault(tuple(row), r)
+    kept = list(first.values())
+    return RawTable(
+        columns=list(table.columns),
+        rows=[table.rows[r] for r in kept],
+        source_rows=list(map(table.source_row, kept)),
+    )
 
 
 @dataclass
@@ -171,14 +209,6 @@ class EncoderMap:
     """Per-column category -> integer code maps, in deterministic order."""
 
     maps: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def code(self, column: str, category: str) -> int:
-        cmap = self.maps[column]
-        got = cmap.get(category)
-        if got is None:
-            # unseen at transform time: next free integer, total function
-            return len(cmap)
-        return got
 
 
 def encode_categoricals(
@@ -195,17 +225,22 @@ def encode_categoricals(
     if emap is None:
         emap = EncoderMap()
         for col in cat_cols:
-            idx = table.column_index(col)
-            cats = sorted({row[idx] for row in table.rows})
+            cats = sorted(set(table.column(table.column_index(col))))
             emap.maps[col] = {cat: i for i, cat in enumerate(cats)}
-    rows = [list(row) for row in table.rows]
+    # (column index, category -> code text, code text of an unseen category)
+    coders = []
     for col in cat_cols:
-        idx = table.column_index(col)
         cmap = emap.maps.get(col, {})
-        fallback = len(cmap)
-        for row in rows:
-            row[idx] = str(cmap.get(row[idx], fallback))
-    return RawTable(columns=list(table.columns), rows=rows), emap
+        codes = {cat: str(code) for cat, code in cmap.items()}
+        coders.append((table.column_index(col), codes, str(len(cmap))))
+    rows = []
+    for row in table.rows:
+        cells = list(row)
+        for i, codes, unseen in coders:
+            cells[i] = codes.get(cells[i], unseen)
+        rows.append(tuple(cells))
+    return RawTable(columns=list(table.columns), rows=rows,
+                    source_rows=table.source_rows), emap
 
 
 def _parse_numeric_cell(cell: str, row: int, column: str) -> float:
@@ -223,13 +258,43 @@ def _parse_numeric_cell(cell: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_boolean_cell(cell: str, row: int, column: str) -> float:
-    text = cell.strip().lower()
-    if text in TRUE_TOKENS:
-        return 1.0
-    if text in FALSE_TOKENS or text in MISSING_TOKENS:
-        return 0.0
-    raise DataFormatError(f"unrecognised Boolean token {cell!r}", row=row, column=column)
+def _numeric_column(table: RawTable, i: int) -> np.ndarray:
+    """Column ``i`` as float64; missing tokens are 0.0, NaN/inf stay for the caller.
+
+    ``float`` runs over the whole column in C. ``array.extend`` keeps what
+    it appended before a cell raised, and ``map`` resumes after that cell,
+    so only the rejected cells go through ``_parse_numeric_cell``.
+    """
+    cells = table.column(i)
+    floats = map(float, cells)
+    out = array("d")
+    while True:
+        try:
+            out.extend(floats)
+        except ValueError:
+            r = len(out)
+            out.append(_parse_numeric_cell(cells[r], table.source_row(r), table.columns[i]))
+        else:
+            return np.frombuffer(out, dtype=np.float64)
+
+
+def _boolean_column(table: RawTable, i: int) -> np.ndarray:
+    """Column ``i`` as 1.0/0.0, each distinct token parsed once."""
+    cells = table.column(i)
+    # insertion order is first occurrence, so the first bad token is the earliest bad cell
+    decoded = dict.fromkeys(cells)
+    for token in decoded:
+        text = token.strip().lower()
+        if text in TRUE_TOKENS:
+            decoded[token] = 1.0
+        elif text in FALSE_TOKENS or text in MISSING_TOKENS:
+            decoded[token] = 0.0
+        else:
+            raise DataFormatError(
+                f"unrecognised Boolean token {token!r}",
+                row=table.source_row(cells.index(token)), column=table.columns[i],
+            )
+    return np.fromiter(map(decoded.__getitem__, cells), np.float64, len(cells))
 
 
 def clean_values(table: RawTable, schema: DatasetSchema) -> FeatureMatrix:
@@ -244,34 +309,36 @@ def clean_values(table: RawTable, schema: DatasetSchema) -> FeatureMatrix:
     if schema.attack_type_column is not None and schema.attack_type_column in table.columns:
         attack_idx = table.column_index(schema.attack_type_column)
     bool_cols = {c for c in schema.boolean_columns if c in table.columns}
-
-    feature_idx = []
-    feature_names = []
-    is_boolean = []
-    for i, col in enumerate(table.columns):
-        if i == label_idx or i == attack_idx:
-            continue
-        feature_idx.append(i)
-        feature_names.append(col)
-        is_boolean.append(col in bool_cols)
+    feature_idx = [i for i in range(len(table.columns)) if i not in (label_idx, attack_idx)]
 
     n = table.n_rows
     values = np.empty((n, len(feature_idx)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    attacks = np.empty(n, dtype=object) if attack_idx is not None else None
+    errors = []
+    for j, i in enumerate(feature_idx):
+        parse = _boolean_column if table.columns[i] in bool_cols else _numeric_column
+        try:
+            values[:, j] = parse(table, i)
+        except DataFormatError as exc:
+            errors.append((exc.row, j, exc))
+    if errors:
+        # each column reports its first bad cell; name the first in file order
+        raise min(errors, key=itemgetter(0, 1))[2]
+    values[~np.isfinite(values)] = 0.0
 
-    for r, row in enumerate(table.rows):
-        labels[r] = 1 if schema.is_attack_label(row[label_idx].strip()) else 0
-        if attacks is not None:
-            attacks[r] = row[attack_idx].strip()
-        for j, (i, as_bool) in enumerate(zip(feature_idx, is_boolean)):
-            if as_bool:
-                values[r, j] = _parse_boolean_cell(row[i], r, table.columns[i])
-            else:
-                values[r, j] = _parse_numeric_cell(row[i], r, table.columns[i])
+    cells = table.column(label_idx)
+    is_attack = {t: int(schema.is_attack_label(t.strip())) for t in set(cells)}
+    labels = np.fromiter(map(is_attack.__getitem__, cells), np.int64, n)
+    attacks = None
+    if attack_idx is not None:
+        cells = table.column(attack_idx)
+        stripped = {t: t.strip() for t in set(cells)}
+        attacks = np.fromiter(map(stripped.__getitem__, cells), object, n)
 
     return FeatureMatrix(
-        values=values, feature_names=feature_names, labels=labels, attack_types=attacks
+        values=values,
+        feature_names=[table.columns[i] for i in feature_idx],
+        labels=labels,
+        attack_types=attacks,
     )
 
 
@@ -287,13 +354,17 @@ def load_feature_matrix(
 
 
 def dump_feature_matrix(fm: FeatureMatrix, path) -> None:
-    """Write a cleaned matrix as CSV: features, then label and attack_type."""
+    """Write a cleaned matrix as CSV: features, then label and attack_type.
+
+    Values are written as the ``repr`` of Python floats, which reads back
+    bit for bit.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(fm.feature_names) + ["label", "attack_type"])
         types = fm.attack_types
         for i in range(fm.n_samples):
-            row = [repr(v) for v in fm.values[i]]
+            row = [repr(v) for v in fm.values[i].tolist()]
             row.append(str(int(fm.labels[i])))
             row.append("" if types is None else str(types[i]))
             writer.writerow(row)

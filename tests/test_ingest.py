@@ -1,17 +1,24 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbench.errors import DataFormatError, SchemaError
 from flowbench.ingest import (
-    FeatureMatrix, clean_values, deduplicate, drop_identifiers,
-    dump_feature_matrix, encode_categoricals, load_csv, load_feature_matrix,
+    FALSE_TOKENS, MISSING_TOKENS, TRUE_TOKENS, FeatureMatrix, RawTable, clean_values,
+    deduplicate, drop_identifiers, dump_feature_matrix, encode_categoricals, load_csv,
+    load_feature_matrix,
 )
 from flowbench.schema import (
     CSE_CIC_IDS2018, DatasetSchema, TON_IOT, UNSW_NB15, get_schema, schema_from_file,
     schema_to_file,
 )
+from flowbench.synth import SynthSpec, schema_for, synth_generate
 
 from helpers import write_csv
+from ingest_reference import reference_feature_matrix
 
 TINY = DatasetSchema(
     name="tiny",
@@ -107,9 +114,7 @@ class TestDropIdentifiers:
 
 
 def load_table(rows):
-    from flowbench.ingest import RawTable
-
-    return RawTable(columns=list(TINY_HEADER), rows=[list(r) for r in rows])
+    return RawTable(columns=list(TINY_HEADER), rows=[tuple(r) for r in rows])
 
 
 class TestDeduplicate:
@@ -123,7 +128,7 @@ class TestDeduplicate:
         assert deduplicate(table).rows == table.rows
 
     def test_idempotent_and_order_preserving(self):
-        rows = tiny_rows()
+        rows = [tuple(r) for r in tiny_rows()]
         table = load_table([rows[1], rows[0], rows[1], rows[2], rows[0]])
         once = deduplicate(table)
         twice = deduplicate(once)
@@ -207,6 +212,161 @@ class TestCleanValues:
         assert fm.feature_names == ["Dur"]
 
 
+def read_dump(path):
+    """(values, labels, attack types) read back from dump_feature_matrix output."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        body = list(csv.reader(fh))[1:]
+    values = np.array([[float(cell) for cell in row[:-2]] for row in body])
+    return values, [int(row[-2]) for row in body], [row[-1] for row in body]
+
+
+class TestErrorRows:
+    """Errors name the 0-based data row of the file, also after deduplication."""
+
+    SCHEMA = DatasetSchema(name="rows", identifier_columns=("fid",),
+                           boolean_columns=("flag",), label_column="label")
+
+    @pytest.mark.parametrize("column,bad,message", [
+        ("bytes", "oops", "non-numeric cell 'oops'"),
+        ("flag", "maybe", "unrecognised Boolean token 'maybe'"),
+    ])
+    def test_bad_cell_after_duplicates(self, tmp_path, column, bad, message):
+        header = ["fid", "bytes", "flag", "label"]
+        rows = [["1", "5", "T", "1"], ["2", "5", "T", "1"], ["3", "5", "T", "1"],
+                ["4", "7", "F", "0"]]
+        rows[3][header.index(column)] = bad
+        path = write_csv(tmp_path / "d.csv", header, rows)
+        with pytest.raises(DataFormatError) as info:
+            load_feature_matrix(path, self.SCHEMA)
+        assert (info.value.row, info.value.column) == (3, column)
+        assert str(info.value) == f"{message} (row 3, column {column!r})"
+
+    def test_first_bad_cell_in_file_order_is_named(self):
+        header = ["fid", "bytes", "flag", "label"]
+        rows = [("1", "5", "T", "1"), ("2", "5", "T", "1"), ("3", "6", "T", "1"),
+                ("4", "7", "maybe", "0"), ("5", "oops", "T", "0")]
+        table = deduplicate(drop_identifiers(RawTable(header, rows), self.SCHEMA))
+        with pytest.raises(DataFormatError, match="row 3, column 'flag'"):
+            clean_values(table, self.SCHEMA)
+
+
+WHITESPACE = ("", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f")
+SPECIAL_NUMBERS = (
+    "nan", "+nan", "-nan", "inf", "+inf", "-inf", "1e400", "-1e400", "-0.0", "1_000",
+    "+.5", "\u0661\u0662\u0663", "\u0663.\u0665", "\uff11\uff12", "1e-320", "0", "1",
+)
+BAD_NUMBERS = ("oops", "1.2.3", "--", "t", "Yes", "nan nan", "1__0")
+BAD_BOOLEANS = ("2", "maybe", "-1", "yes!", "0.0")
+
+
+def case_variants(tokens):
+    """Every token of ``tokens`` in any mix of upper and lower case."""
+    return st.sampled_from(sorted(tokens)).flatmap(
+        lambda t: st.lists(st.booleans(), min_size=len(t), max_size=len(t)).map(
+            lambda upper, t=t: "".join(c.upper() if u else c for c, u in zip(t, upper))))
+
+
+def padded(cells):
+    return st.tuples(st.sampled_from(WHITESPACE), cells, st.sampled_from(WHITESPACE)).map(
+        "".join)
+
+
+NUMERIC_CELLS = padded(st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(SPECIAL_NUMBERS),
+    case_variants(MISSING_TOKENS),
+))
+BOOLEAN_CELLS = padded(case_variants(TRUE_TOKENS | FALSE_TOKENS | MISSING_TOKENS))
+
+PROP = DatasetSchema(
+    name="prop",
+    identifier_columns=("fid",),
+    categorical_columns=("proto",),
+    boolean_columns=("flag",),
+    label_column="label",
+    attack_type_column="kind",
+    positive_token="bad",
+)
+PROP_HEADER = ["fid", "a", "proto", "flag", "b", "label", "kind"]
+
+
+@st.composite
+def raw_tables(draw, bad_cells=0):
+    """Rows of PROP_HEADER cells, with duplicates that differ only in ``fid``.
+
+    With ``bad_cells`` > 0, that many numeric or Boolean cells are replaced
+    by tokens the pipeline must reject.
+    """
+    body = st.tuples(
+        NUMERIC_CELLS,
+        st.sampled_from(["tcp", "udp", " tcp", "ICMP", ""]),
+        BOOLEAN_CELLS,
+        NUMERIC_CELLS,
+        st.sampled_from(["bad", "ok", " bad ", "Bad", "\u00a0bad", "ok\t"]),
+        st.sampled_from(["dos", " scan", "-", "", "worm\u3000"]),
+    )
+    rows = [list(r) for r in draw(st.lists(body, min_size=1, max_size=20))]
+    for src, at in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                           st.integers(0, len(rows))), max_size=8)):
+        rows.insert(at, list(rows[src]))
+    for _ in range(bad_cells):
+        r = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.sampled_from([0, 2, 3]))
+        rows[r][j] = draw(st.sampled_from(BAD_BOOLEANS if j == 2 else BAD_NUMBERS))
+    return [[str(i)] + cells for i, cells in enumerate(rows)]
+
+
+def pipeline(columns, rows, schema):
+    table = RawTable(columns=list(columns), rows=[tuple(r) for r in rows])
+    table = drop_identifiers(table, schema)
+    table = deduplicate(table)
+    table, emap = encode_categoricals(table, schema)
+    return clean_values(table, schema), emap
+
+
+def assert_same_as_reference(got, want):
+    fm, emap = got
+    ref, ref_maps = want
+    assert fm.feature_names == ref.feature_names
+    assert fm.values.tobytes() == ref.values.tobytes()
+    assert fm.labels.tobytes() == ref.labels.tobytes()
+    assert list(fm.attack_types) == list(ref.attack_types)
+    assert [(c, list(m.items())) for c, m in emap.maps.items()] == \
+        [(c, list(m.items())) for c, m in ref_maps.items()]
+
+
+class TestReferenceEquivalence:
+    """The column-wise pipeline against the per-cell reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_tables())
+    def test_same_matrix_and_maps(self, rows):
+        assert_same_as_reference(pipeline(PROP_HEADER, rows, PROP),
+                                 reference_feature_matrix(PROP_HEADER, rows, PROP))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: raw_tables(bad_cells=k)))
+    def test_same_error(self, rows):
+        with pytest.raises(DataFormatError) as want:
+            reference_feature_matrix(PROP_HEADER, rows, PROP)
+        with pytest.raises(DataFormatError) as got:
+            pipeline(PROP_HEADER, rows, PROP)
+        assert str(got.value) == str(want.value)
+        assert (got.value.row, got.value.column) == (want.value.row, want.value.column)
+
+    def test_dirty_synth_file(self, tmp_path):
+        spec = SynthSpec(rows=3000, n_noise=12, duplicate_rate=0.1, dirty_rate=0.05)
+        path = tmp_path / "dirty.csv"
+        result = synth_generate(spec, seed=11, path=path)
+        schema = schema_for(spec)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        got = load_feature_matrix(path, schema)
+        assert_same_as_reference(got, reference_feature_matrix(header, rows, schema))
+        assert got[0].n_samples == result.unique_rows
+
+
 class TestFeatureMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -240,6 +400,31 @@ class TestFullPipeline:
         dump_feature_matrix(fm, out)
         header = out.read_text().splitlines()[0].split(",")
         assert header == fm.feature_names + ["label", "attack_type"]
+        values, labels, attacks = read_dump(out)
+        assert values.tobytes() == fm.values.tobytes()
+        assert labels == fm.labels.tolist()
+        assert attacks == list(fm.attack_types)
+
+    def test_dump_values_round_trip_bit_for_bit(self, tmp_path):
+        values = np.array([
+            [0.1, -0.0, 1 / 3],
+            [5e-324, -2.5e-310, 1.7976931348623157e308],
+            [123456789.0, 1e-7, -1e22],
+        ])
+        fm = FeatureMatrix(values=values, feature_names=["a", "b", "c"],
+                           labels=np.array([0, 1, 1]),
+                           attack_types=np.array(["benign", 'dos, "v2"', ""], dtype=object))
+        out = tmp_path / "clean.csv"
+        dump_feature_matrix(fm, out)
+        got, labels, attacks = read_dump(out)
+        assert got.tobytes() == values.tobytes()
+        assert labels == [0, 1, 1]
+        assert attacks == ["benign", 'dos, "v2"', ""]
+
+        untyped = FeatureMatrix(values=values, feature_names=["a", "b", "c"],
+                                labels=np.array([0, 1, 1]))
+        dump_feature_matrix(untyped, out)
+        assert read_dump(out)[2] == ["", "", ""]
 
     def test_schema_json_round_trip(self, tmp_path):
         path = tmp_path / "schema.json"
