@@ -16,18 +16,16 @@ from flowbench import (
 )
 from flowbench.synth import SynthSpec, schema_for, synth_generate
 
-work = Path(tempfile.mkdtemp(prefix="flowbench_demo_"))
-csv_path = work / "capture.csv"
-
 spec = SynthSpec(rows=600, imbalance=0.75, n_informative=4, n_noise=4,
                  duplicate_rate=0.08, dirty_rate=0.03, separation=2.5)
-bookkeeping = synth_generate(spec, seed=42, path=csv_path)
 schema = schema_for(spec)
+with tempfile.TemporaryDirectory(prefix="flowbench_demo_") as work:
+    csv_path = Path(work) / "capture.csv"
+    bookkeeping = synth_generate(spec, seed=42, path=csv_path)
+    print(f"generated {bookkeeping.rows_written} rows "
+          f"({bookkeeping.duplicate_rows} duplicates, {bookkeeping.dirty_cells} dirty cells)")
+    table = load_csv(csv_path, schema)
 
-print(f"generated {bookkeeping.rows_written} rows "
-      f"({bookkeeping.duplicate_rows} duplicates, {bookkeeping.dirty_cells} dirty cells)")
-
-table = load_csv(csv_path, schema)
 print(f"\nloaded: {table.n_rows} rows x {len(table.columns)} columns")
 print(f"  columns: {table.columns[:8]} ...")
 

@@ -71,8 +71,9 @@ print(f"loss {history.epoch_losses[0]:.4f} -> {history.epoch_losses[-1]:.4f} "
 print(f"training accuracy: {acc:.3f}")
 
 print("\n=== checkpoint round trip ===")
-path = Path(tempfile.mkdtemp(prefix="flowbench_demo_")) / "dff.npz"
-save_model(net, path)
-clone = load_model(path)
+with tempfile.TemporaryDirectory(prefix="flowbench_demo_") as work:
+    path = Path(work) / "dff.npz"
+    save_model(net, path)
+    clone = load_model(path)
 same = all(a.tobytes() == b.tobytes() for a, b in zip(net.params(), clone.params()))
 print(f"saved to {path.name}; parameters bit-identical after reload: {same}")

@@ -14,13 +14,13 @@ from flowbench import (
 )
 from flowbench.synth import SynthSpec, schema_for, synth_generate
 
-work = Path(tempfile.mkdtemp(prefix="flowbench_demo_"))
-csv_path = work / "flows.csv"
 spec = SynthSpec(rows=2500, imbalance=0.8, n_informative=5, n_noise=5,
                  duplicate_rate=0.03, dirty_rate=0.01, separation=2.2)
-synth_generate(spec, seed=7, path=csv_path)
+with tempfile.TemporaryDirectory(prefix="flowbench_demo_") as work:
+    csv_path = Path(work) / "flows.csv"
+    synth_generate(spec, seed=7, path=csv_path)
+    fm, _ = load_feature_matrix(csv_path, schema_for(spec))
 
-fm, _ = load_feature_matrix(csv_path, schema_for(spec))
 train, test = stratified_split(fm, test_fraction=0.3, seed=0)
 scaler = fit_scaler(train)
 train_s = apply_scaler(train, scaler)

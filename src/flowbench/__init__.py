@@ -19,9 +19,8 @@ from .extract import (
     lda_fit, lda_transform, pca_fit, pca_inverse, pca_transform, variance_report,
 )
 from .classifiers import (
-    ClassifierSpec, FittedClassifier, build_cnn, build_dff, build_rnn,
-    dt_fit, dt_score, fit_classifier, fit_predict, gnb_fit, gnb_score,
-    lr_fit, lr_score,
+    ClassifierSpec, FittedClassifier, dt_fit, dt_score, fit_classifier, fit_predict,
+    gnb_fit, gnb_score, lr_fit, lr_score,
 )
 from .evaluate import (
     ConfusionCounts, EvalReport, MetricSet, RocCurve, aggregate_folds, confusion,

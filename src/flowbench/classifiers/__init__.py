@@ -52,21 +52,6 @@ class ClassifierSpec:
         raise ValueError(f"{self.kind} has no layer stack")
 
 
-def build_dff(input_dim: int, dropout_per_hidden: bool = False) -> ClassifierSpec:
-    dff_layers(input_dim, dropout_per_hidden)  # validates input_dim
-    return ClassifierSpec(kind="dff", dropout_per_hidden=dropout_per_hidden)
-
-
-def build_cnn(input_dim: int) -> ClassifierSpec:
-    cnn_layers(input_dim)
-    return ClassifierSpec(kind="cnn")
-
-
-def build_rnn(input_dim: int) -> ClassifierSpec:
-    rnn_layers(input_dim)
-    return ClassifierSpec(kind="rnn")
-
-
 @dataclass
 class FittedClassifier:
     kind: str
@@ -132,8 +117,7 @@ def fit_predict(
 
 __all__ = [
     "ALL_KINDS", "ClassifierSpec", "DEEP_KINDS", "FittedClassifier", "GnbModel",
-    "LrModel", "SHALLOW_KINDS", "TreeNode", "best_split", "build_cnn", "build_dff",
-    "build_rnn", "cnn_layers", "conv_output_lengths", "dff_layers", "dt_fit",
-    "dt_score", "fit_classifier", "fit_predict", "gini", "gnb_fit", "gnb_score",
-    "lr_fit", "lr_score", "rnn_layers",
+    "LrModel", "SHALLOW_KINDS", "TreeNode", "best_split", "cnn_layers",
+    "conv_output_lengths", "dff_layers", "dt_fit", "dt_score", "fit_classifier",
+    "fit_predict", "gini", "gnb_fit", "gnb_score", "lr_fit", "lr_score", "rnn_layers",
 ]

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from pathlib import Path
 
-from .runner import ExperimentConfig, emit_plots, render_summary, run
+from .runner import ExperimentConfig, best_per_model, read_manifest, run, run_summary
 from .schema import schema_to_file
 from .synth import SynthSpec, schema_for, synth_generate
 
@@ -24,8 +23,6 @@ def _cmd_run(args) -> int:
     if args.fit_global:
         config.fit_global = True
     records = run(config, jobs=args.jobs)
-    if args.charts:
-        emit_plots(records, Path(config.output_dir), charts=True)
     ok = sum(1 for r in records if r["fold"] == "mean" and r["status"] == "ok")
     failed = sum(1 for r in records if r["status"] != "ok")
     print(f"run complete: {ok} cell(s) ok, {failed} failed -> {config.output_dir}")
@@ -45,37 +42,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_records(run_dir: Path) -> list[dict]:
-    path = run_dir / "manifest.json"
-    if not path.exists():
-        raise SystemExit(f"{run_dir}: no manifest.json (is this a run directory?)")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    records = []
-    for payload in doc["completed"].values():
-        records.extend(payload["records"])
-    return records
-
-
 def _cmd_report(args) -> int:
     all_records: list[dict] = []
-    per_attack = None
     for run_dir in map(Path, args.run_dirs):
-        records = _load_records(run_dir)
+        if not (run_dir / "manifest.json").exists():
+            raise SystemExit(f"{run_dir}: no manifest.json (is this a run directory?)")
+        records, summary = run_summary(*read_manifest(run_dir))
         all_records.extend(records)
         summary_path = run_dir / "summary.txt"
-        summary_path.write_text(render_summary(records, per_attack), encoding="utf-8")
+        summary_path.write_text(summary, encoding="utf-8")
         print(f"wrote {summary_path}")
     if len(args.run_dirs) > 1:
-        # grouped cross-dataset comparison at each model's best (fe, dims)
-        from .runner import best_per_model
-
+        # grouped cross-dataset comparison at each model's best (fe, dims) per dataset
         out = Path(args.run_dirs[0]) / "cross_dataset.csv"
-        rows = best_per_model(all_records)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "fe", "dataset", "dims", "auc"])
-            for r in sorted(rows, key=lambda r: (r["model"], r["fe"], r["dataset"])):
+            for r in best_per_model(all_records):
                 writer.writerow([r["model"], r["fe"], r["dataset"], r["dims"], repr(r["auc"])])
         print(f"wrote {out}")
     return 0
@@ -97,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit scaler/extractor on the full data instead of per fold")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel (fe, dims) groups")
     p_run.add_argument("--out", default=None, help="override config output_dir")
-    p_run.add_argument("--charts", action="store_true", help="also render SVG charts")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic flow CSV")

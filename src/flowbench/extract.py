@@ -52,23 +52,41 @@ def pca_fit(train, k: int) -> PcaModel:
     n, d = x.shape
     if n <= 1:
         raise ValueError("PCA needs at least two samples")
-    if not 1 <= k <= min(n - 1, d):
-        raise ValueError(f"k={k} out of range 1..{min(n - 1, d)}")
+    width = min(n - 1, d)
+    if not 1 <= k <= width:
+        raise ValueError(f"k={k} out of range 1..{width}")
     mean = x.mean(axis=0)
     centered = x - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:k]
+    components = vt[:width]
     anchor = np.argmax(np.abs(components), axis=1)
-    flip = np.sign(components[np.arange(k), anchor])
+    flip = np.sign(components[np.arange(width), anchor])
     flip[flip == 0] = 1.0
-    components = components * flip[:, None]
     variances = s ** 2 / (n - 1)
-    return PcaModel(
+    full = PcaModel(
         mean=mean,
-        components=components,
-        singular_values=s[:k],
-        explained_variance=variances[:k],
+        components=components * flip[:, None],
+        singular_values=s[:width],
+        explained_variance=variances[:width],
         total_variance=float(variances.sum()),
+    )
+    return pca_truncate(full, k)
+
+
+def pca_truncate(model: PcaModel, k: int) -> PcaModel:
+    """The top-k model of a wider fit.
+
+    Each component's sign and variance depend on that component alone, so
+    the result is bit-identical to ``pca_fit`` with k on the same data.
+    """
+    if not 1 <= k <= model.k:
+        raise ValueError(f"k={k} out of range 1..{model.k}")
+    return PcaModel(
+        mean=model.mean,
+        components=model.components[:k],
+        singular_values=model.singular_values[:k],
+        explained_variance=model.explained_variance[:k],
+        total_variance=model.total_variance,
     )
 
 

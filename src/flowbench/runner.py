@@ -1,10 +1,12 @@
 """Experiment orchestration: the FE x dimensions x model sweep.
 
-A run loads one dataset, builds a stratified fold plan, then walks every
-(fe, dims, model) cell: per fold it fits the scaler and extractor on the
-training portion only, transforms both portions, trains the classifier
-and evaluates the held-out fold. Records flush to disk after every cell,
-so an interrupted sweep resumes from its manifest and reproduces the
+A run loads one dataset and builds a stratified fold plan. Per fold it
+fits the scaler, and PCA at full width, on the training portion only;
+every (fe, dims) group shares those fold fits, a PCA group taking the
+top-dims prefix of the one SVD. A group then fits its LDA or AE per fold,
+transforms both portions, trains each classifier and evaluates the
+held-out fold. Records flush to disk after every group, so an
+interrupted sweep resumes from its manifest and reproduces the
 uninterrupted byte-identical results.csv.
 
 Every random draw derives from a stable hash of (seed, cell identity),
@@ -18,20 +20,23 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
-from .evaluate import aggregate_folds, evaluate, roc_auc
+from .evaluate import RocCurve, aggregate_folds, evaluate, roc_auc
 from .extract import (
-    ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform, variance_report,
+    PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
+    pca_truncate, variance_report,
 )
 from .ingest import FeatureMatrix, load_feature_matrix
 from .nn.network import TrainConfig
-from .preprocess import apply_scaler, fit_scaler, stratified_kfold, stratified_subsample
+from .preprocess import (
+    FoldPlan, ScalerModel, apply_scaler, fit_scaler, stratified_kfold, stratified_subsample,
+)
 from .schema import get_schema, schema_from_file
 
 log = logging.getLogger(__name__)
@@ -124,7 +129,6 @@ class ResultRecord:
     precision: float | None = None
     auc: float | None = None
     auc_pooled: float | None = None
-    wall_time_seconds: float | None = None
     status: str = "ok"
     error: str | None = None
 
@@ -166,15 +170,67 @@ def _group_plan(config: ExperimentConfig, n_features: int):
     return groups
 
 
-def _fit_extractor(fe, dims, train_fm, config, fold_tag):
+@dataclass
+class FoldFit:
+    """One fold's rows and the fits that all its groups share.
+
+    A fit that raised holds its exception; per-fold ``pca`` is None when
+    no pending group uses PCA.
+    """
+
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    scaler: ScalerModel | Exception
+    pca: PcaModel | Exception | None
+
+
+def _full_pca(scaled: FeatureMatrix) -> PcaModel:
+    return pca_fit(scaled, min(scaled.n_samples - 1, scaled.n_features))
+
+
+def _attempt(fit):
+    """fit(), or the exception it raised: a failed fold fit fails only the groups using it."""
+    try:
+        return fit()
+    except Exception as exc:
+        return exc
+
+
+def _fitted(fit):
+    """A shared fit, or the exception it raised, raised again for this group."""
+    if isinstance(fit, Exception):
+        raise fit.with_traceback(None)  # no traceback chained over every failing group
+    return fit
+
+
+def _fold_fits(config: ExperimentConfig, fm: FeatureMatrix, plan: FoldPlan,
+               with_pca: bool, global_fit) -> list[FoldFit]:
+    """Each fold's rows with the scaler and full-width PCA of its training
+    rows; with ``fit_global`` every fold shares ``global_fit``, the
+    (scaler, PCA) pair fitted on all rows."""
+    fits = []
+    for fold in range(config.folds):
+        train_idx, test_idx = plan.train_test_indices(fold)
+        scaler, pca = global_fit
+        if not config.fit_global:
+            train = fm.take(train_idx)
+            scaler = _attempt(lambda: fit_scaler(train))
+            pca = None
+            if with_pca:
+                pca = _attempt(lambda: _full_pca(apply_scaler(train, _fitted(scaler))))
+        fits.append(FoldFit(train_idx, test_idx, scaler, pca))
+    return fits
+
+
+def _fit_extractor(fe, dims, fold_fit: FoldFit, train_s, config, fold_tag):
     if fe == "full":
         return None
     if fe == "pca":
-        return pca_fit(train_fm, dims)
+        return pca_truncate(_fitted(fold_fit.pca), dims)
     if fe == "lda":
-        return lda_fit(train_fm)
+        return lda_fit(train_s)
     seed = derive_seed(config.seed, fe, dims, fold_tag, "extractor")
-    return ae_fit(train_fm, dims, config.train_config(seed))
+    return ae_fit(train_s, dims, config.train_config(seed))
 
 
 def _apply_extractor(fe, model, fm):
@@ -187,47 +243,34 @@ def _apply_extractor(fe, model, fm):
     return ae_encode(fm, model)
 
 
-def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix, assignments,
-              pending_models):
+def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
+              fold_fits: list[FoldFit], pending_models):
     """Evaluate every pending model of one (fe, dims) group across all folds.
 
     Returns {model: cell_result_dict}; the fitted extractor is shared by
     the group's models within each fold.
     """
-    k = config.folds
     out = {
-        model: {"reports": [], "probs": [], "labels": [], "attacks": [],
-                "wall": 0.0, "error": None}
+        model: {"reports": [], "probs": [], "labels": [], "wall": 0.0, "error": None}
         for model in pending_models
     }
-    dataset_error = None
-    global_fit = None  # (scaler, extractor) shared across folds with --fit-global
-    for fold in range(k):
-        train_idx = np.flatnonzero(assignments != fold)
-        test_idx = np.flatnonzero(assignments == fold)
-        train_fm = fm.take(train_idx)
-        test_fm = fm.take(test_idx)
+    group_error = None
+    for fold, fit in enumerate(fold_fits):
         try:
-            if config.fit_global:
-                if global_fit is None:
-                    scaler = fit_scaler(fm)
-                    extractor = _fit_extractor(
-                        fe, dims, apply_scaler(fm, scaler), config, "global"
-                    )
-                    global_fit = (scaler, extractor)
-                scaler, extractor = global_fit
-                train_s = apply_scaler(train_fm, scaler)
-                test_s = apply_scaler(test_fm, scaler)
-            else:
-                scaler = fit_scaler(train_fm)
-                train_s = apply_scaler(train_fm, scaler)
-                test_s = apply_scaler(test_fm, scaler)
-                extractor = _fit_extractor(fe, dims, train_s, config, fold)
+            scaler = _fitted(fit.scaler)
+            train_s = apply_scaler(fm.take(fit.train_idx), scaler)
+            test_s = apply_scaler(fm.take(fit.test_idx), scaler)
+            if not config.fit_global:
+                extractor = _fit_extractor(fe, dims, fit, train_s, config, fold)
+            elif fold == 0:  # with --fit-global one fit on all rows serves every fold
+                extractor = _fit_extractor(
+                    fe, dims, fit, apply_scaler(fm, scaler), config, "global"
+                )
             train_z = _apply_extractor(fe, extractor, train_s)
             test_z = _apply_extractor(fe, extractor, test_s)
         except Exception as exc:  # extractor failure poisons the whole group
             log.warning("extractor %s dims=%s fold=%d failed: %s", fe, dims, fold, exc)
-            dataset_error = f"{type(exc).__name__}: {exc}"
+            group_error = f"{type(exc).__name__}: {exc}"
             break
         for model in pending_models:
             cell = out[model]
@@ -250,21 +293,20 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix, assignments
             cell["reports"].append(report)
             cell["probs"].append(probs)
             cell["labels"].append(test_z.labels)
-    if dataset_error is not None:
+    if group_error is not None:
         for cell in out.values():
             if cell["error"] is None:
-                cell["error"] = dataset_error
+                cell["error"] = group_error
     return out
 
 
-def _cell_payload(dataset, fe, dims, model, k, cell) -> dict:
-    """Manifest entry for one finished cell (records + per-attack + ROC)."""
+def _cell_payload(dataset, fe, dims, model, k, cell) -> tuple[dict, RocCurve | None]:
+    """Manifest entry for one finished cell, and its pooled ROC curve if it succeeded."""
     if cell["error"] is not None or len(cell["reports"]) != k:
         err = cell["error"] or "incomplete fold set"
         rec = ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims,
                            fold="mean", status="failed", error=err)
-        return {"records": [asdict(rec)], "per_attack": None, "roc": None,
-                "wall_time": cell["wall"]}
+        return {"records": [asdict(rec)], "per_attack": None, "wall_time": cell["wall"]}, None
     records = []
     for fold, report in enumerate(cell["reports"]):
         records.append(asdict(ResultRecord(
@@ -280,17 +322,11 @@ def _cell_payload(dataset, fe, dims, model, k, cell) -> dict:
         dataset=dataset, model=model, fe=fe, dims=dims, fold="mean",
         acc=mean.acc, f1=mean.f1, dr=mean.dr, far=mean.far,
         precision=mean.precision, auc=mean.auc, auc_pooled=pooled_auc,
-        wall_time_seconds=cell["wall"],
     )))
     per_attack = None
     if mean.per_attack is not None:
         per_attack = {name: list(v) for name, v in mean.per_attack.items()}
-    return {
-        "records": records,
-        "per_attack": per_attack,
-        "roc": {"far": curve.far.tolist(), "dr": curve.dr.tolist()},
-        "wall_time": cell["wall"],
-    }
+    return {"records": records, "per_attack": per_attack, "wall_time": cell["wall"]}, curve
 
 
 class _RunState:
@@ -345,29 +381,43 @@ def write_results_csv(records: list[dict], path) -> None:
             writer.writerow([_fmt(rec.get(col)) for col in RESULT_COLUMNS])
 
 
-def _ordered_records(config, state, groups) -> list[dict]:
-    out = []
-    for fe, dims in groups:
-        for model in config.models:
-            payload = state.completed.get(f"{fe}:{dims}:{model}")
-            if payload:
-                out.extend(payload["records"])
-    return out
+def _ordered_records(config: ExperimentConfig, completed: dict) -> list[dict]:
+    """Records of the completed cells in group-plan order: fe and model as
+    configured, dims ascending."""
+    def rank(cell_id):
+        fe, dims, model = cell_id.split(":")
+        return config.fe_methods.index(fe), int(dims), config.models.index(model)
+
+    return [rec for cell_id in sorted(completed, key=rank)
+            for rec in completed[cell_id]["records"]]
 
 
-def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> None:
+def run_summary(config: ExperimentConfig, completed: dict) -> tuple[list[dict], str]:
+    """The ordered result records of a run and the text of its summary.txt."""
+    records = _ordered_records(config, completed)
+    return records, render_summary(records, best_per_attack(records, completed))
+
+
+def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
+    """The config and the completed cells recorded in a run directory."""
+    with open(Path(run_dir) / "manifest.json", "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    raw = dict(doc["config"])
+    raw.pop("version", None)
+    return ExperimentConfig(**raw), doc["completed"]
+
+
+def _write_variance_reports(scaled: FeatureMatrix, pca: PcaModel | None,
+                            out_dir: Path, dataset: str) -> None:
     """Descriptive per-dimension variance of PCA/LDA on the scaled dataset."""
     var_dir = out_dir / "variance"
     var_dir.mkdir(exist_ok=True)
-    scaled = apply_scaler(fm, fit_scaler(fm))
-    k = min(fm.n_features, fm.n_samples - 1)
-    if k >= 1:
-        model = pca_fit(scaled, k)
+    if pca is not None:
         report = variance_report(
-            pca_transform(scaled, model), "pca", total_variance=model.total_variance
+            pca_transform(scaled, pca), "pca", total_variance=pca.total_variance
         )
         report.dump_csv(var_dir / f"{dataset}_pca.csv")
-    if len(np.unique(fm.labels)) == 2:
+    if len(np.unique(scaled.labels)) == 2:
         lda = lda_fit(scaled)
         variance_report(lda_transform(scaled, lda), "lda").dump_csv(
             var_dir / f"{dataset}_lda.csv"
@@ -382,59 +432,49 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
     fm = load_dataset(config)
     dataset = config.schema_name
-    _write_variance_reports(fm, out_dir, dataset)
+    # the variance report's fits on all rows; with fit_global they serve every fold
+    scaler = fit_scaler(fm)
+    scaled = apply_scaler(fm, scaler)
+    pca = _full_pca(scaled) if min(fm.n_features, fm.n_samples - 1) >= 1 else None
+    _write_variance_reports(scaled, pca, out_dir, dataset)
     plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
-    groups = _group_plan(config, fm.n_features)
     state = _RunState(out_dir, config)
 
     def finish_group(fe, dims, results):
-        for model in config.models:
-            if model not in results:
-                continue
-            cell_id = f"{fe}:{dims}:{model}"
-            payload = _cell_payload(dataset, fe, dims, model, config.folds, results[model])
-            roc = payload.pop("roc", None)
-            if roc:
-                _dump_roc(out_dir / "roc" / f"{fe}_{dims}_{model}.csv", roc)
-            state.add(cell_id, payload)
+        for model, cell in results.items():
+            payload, curve = _cell_payload(dataset, fe, dims, model, config.folds, cell)
+            if curve is not None:
+                curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
+            state.add(f"{fe}:{dims}:{model}", payload)
         state.flush()
-        write_results_csv(_ordered_records(config, state, groups), out_dir / "results.csv")
+        write_results_csv(_ordered_records(config, state.completed), out_dir / "results.csv")
 
     todo = []
-    for fe, dims in groups:
+    for fe, dims in _group_plan(config, fm.n_features):
         pending = [m for m in config.models if not state.has(f"{fe}:{dims}:{m}")]
         if pending:
             todo.append((fe, dims, pending))
+    with_pca = any(fe == "pca" for fe, _, _ in todo)
+    fold_fits = _fold_fits(config, fm, plan, with_pca, (scaler, pca))
 
     if jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                (fe, dims): pool.submit(
-                    run_group, fe, dims, config, fm, plan.assignments, pending
-                )
+                pool.submit(run_group, fe, dims, config, fm, fold_fits, pending): (fe, dims)
                 for fe, dims, pending in todo
             }
-            for (fe, dims), future in futures.items():
-                finish_group(fe, dims, future.result())
+            for future in as_completed(futures):
+                finish_group(*futures[future], future.result())
     else:
         for fe, dims, pending in todo:
             log.info("group fe=%s dims=%s: %d model(s)", fe, dims, len(pending))
-            finish_group(fe, dims, run_group(fe, dims, config, fm, plan.assignments, pending))
+            finish_group(fe, dims, run_group(fe, dims, config, fm, fold_fits, pending))
 
-    records = _ordered_records(config, state, groups)
+    records, summary = run_summary(config, state.completed)
     write_results_csv(records, out_dir / "results.csv")
     emit_plots(records, out_dir)
-    summary = render_summary(records, best_per_attack(state, config, groups))
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     return records
-
-
-def _dump_roc(path, roc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["far", "dr"])
-        for x, y in zip(roc["far"], roc["dr"]):
-            writer.writerow([repr(float(x)), repr(float(y))])
 
 
 def mean_records(records: list[dict]) -> list[dict]:
@@ -442,10 +482,10 @@ def mean_records(records: list[dict]) -> list[dict]:
 
 
 def best_per_model(records: list[dict]) -> list[dict]:
-    """Per (model, fe): the mean row with maximal AUC; ties pick fewer dims."""
-    best: dict[tuple[str, str], dict] = {}
+    """Per (model, fe, dataset): the mean row with maximal AUC; ties pick fewer dims."""
+    best: dict[tuple[str, str, str], dict] = {}
     for rec in mean_records(records):
-        key = (rec["model"], rec["fe"])
+        key = (rec["model"], rec["fe"], rec["dataset"])
         cur = best.get(key)
         if (
             cur is None
@@ -453,7 +493,7 @@ def best_per_model(records: list[dict]) -> list[dict]:
             or (rec["auc"] == cur["auc"] and rec["dims"] < cur["dims"])
         ):
             best[key] = rec
-    return [best[k] for k in sorted(best, key=lambda k: (k[0], k[1]))]
+    return [best[k] for k in sorted(best)]
 
 
 def best_overall(records: list[dict]) -> dict | None:
@@ -463,13 +503,12 @@ def best_overall(records: list[dict]) -> dict | None:
     return ranked[0] if ranked else None
 
 
-def best_per_attack(state: _RunState, config, groups) -> dict | None:
+def best_per_attack(records: list[dict], completed: dict) -> dict | None:
     """Per-attack DR table of the best (fe, dims, model) cell."""
-    records = _ordered_records(config, state, groups)
     top = best_overall(records)
     if top is None:
         return None
-    payload = state.completed.get(f"{top['fe']}:{top['dims']}:{top['model']}")
+    payload = completed.get(f"{top['fe']}:{top['dims']}:{top['model']}")
     if not payload or not payload.get("per_attack"):
         return None
     return {
@@ -478,7 +517,7 @@ def best_per_attack(state: _RunState, config, groups) -> dict | None:
     }
 
 
-def emit_plots(records: list[dict], out_dir: Path, charts: bool = False) -> None:
+def emit_plots(records: list[dict], out_dir: Path) -> None:
     """Plot-ready CSVs: AUC-vs-dimensions sweeps and the best-cell summary."""
     out_dir = Path(out_dir)
     sweep_dir = out_dir / "sweeps"
@@ -503,34 +542,6 @@ def emit_plots(records: list[dict], out_dir: Path, charts: bool = False) -> None
             writer.writerow([r["dataset"], r["model"], r["fe"], r["dims"],
                              _fmt(r["acc"]), _fmt(r["f1"]), _fmt(r["dr"]),
                              _fmt(r["far"]), _fmt(r["auc"])])
-    if charts:
-        render_charts(by_model, sweep_dir)
-
-
-def render_charts(by_model: dict, sweep_dir: Path) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        log.warning("matplotlib unavailable; skipping charts")
-        return
-    for model, rows in by_model.items():
-        fig, ax = plt.subplots(figsize=(5, 3))
-        by_fe: dict[str, list[dict]] = {}
-        for r in rows:
-            by_fe.setdefault(r["fe"], []).append(r)
-        for fe, fe_rows in sorted(by_fe.items()):
-            fe_rows = sorted(fe_rows, key=lambda r: r["dims"])
-            ax.plot([r["dims"] for r in fe_rows], [r["auc"] for r in fe_rows],
-                    marker="o", label=fe)
-        ax.set_xlabel("dimensions")
-        ax.set_ylabel("AUC")
-        ax.set_title(model)
-        ax.legend()
-        fig.tight_layout()
-        fig.savefig(sweep_dir / f"{rows[0]['dataset']}_{model}.svg")
-        plt.close(fig)
 
 
 def _pct(x) -> str:

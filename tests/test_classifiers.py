@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from flowbench.classifiers import (
-    ClassifierSpec, build_cnn, build_dff, build_rnn, cnn_layers,
-    conv_output_lengths, dff_layers, dt_fit, dt_score, fit_classifier,
-    fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
+    ClassifierSpec, cnn_layers, conv_output_lengths, dff_layers, dt_fit, dt_score,
+    fit_classifier, fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
 )
 from flowbench.classifiers.logistic import _loss_grad
 from flowbench.classifiers.tree import TreeNode, best_split, gini
@@ -78,11 +77,9 @@ class TestBuilders:
         assert net.output_dim == 1
 
     def test_spec_constructors_validate(self):
-        assert build_dff(40).kind == "dff"
-        assert build_cnn(9).kind == "cnn"
-        assert build_rnn(2).kind == "rnn"
-        with pytest.raises(ValueError):
-            build_dff(0)
+        for layers in (dff_layers, cnn_layers, rnn_layers):
+            with pytest.raises(ValueError):
+                layers(0)
         with pytest.raises(ValueError):
             ClassifierSpec(kind="svm")
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -50,9 +51,11 @@ def test_run_and_report(synth_csv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "run complete" in captured.out
 
+    written = (out_dir / "summary.txt").read_bytes()
+    assert b"Per-attack detection rate" in written
     code = main(["report", "--in", str(out_dir)])
     assert code == 0
-    assert "Best result per (model, FE)" in (out_dir / "summary.txt").read_text()
+    assert (out_dir / "summary.txt").read_bytes() == written
 
 
 def test_run_flag_overrides(synth_csv, tmp_path):
@@ -79,15 +82,18 @@ def test_run_flag_overrides(synth_csv, tmp_path):
 
 
 def test_cross_dataset_report(synth_csv, tmp_path):
+    # the same file under two schema names: each name is one dataset
+    schema_file = str(synth_csv.with_suffix(".schema.json"))
     dirs = []
-    for i, name in enumerate(("a", "b")):
+    for i, (name, schema) in enumerate((("synthetic", None), ("other", schema_file))):
         out_dir = tmp_path / name
         config = {
             "version": CONFIG_VERSION,
             "dataset_path": str(synth_csv),
-            "schema_name": "synthetic",
-            "fe_methods": ["full"],
-            "models": ["nb"],
+            "schema_name": name,
+            "schema_file": schema,
+            "fe_methods": ["full", "lda"],
+            "models": ["dt", "nb"],
             "folds": 3,
             "seed": i,
             "output_dir": str(out_dir),
@@ -97,9 +103,13 @@ def test_cross_dataset_report(synth_csv, tmp_path):
         assert main(["run", "--config", str(cfg_path)]) == 0
         dirs.append(str(out_dir))
     assert main(["report", "--in", *dirs]) == 0
-    cross = tmp_path / "a" / "cross_dataset.csv"
-    assert cross.exists()
-    assert cross.read_text().splitlines()[0] == "model,fe,dataset,dims,auc"
+    with open(tmp_path / "synthetic" / "cross_dataset.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["model", "fe", "dataset", "dims", "auc"]
+    for dataset in ("synthetic", "other"):
+        cells = {(r["model"], r["fe"]) for r in rows if r["dataset"] == dataset}
+        assert len(cells) == 4 == sum(r["dataset"] == dataset for r in rows)
+    assert len(rows) == 8
 
 
 def test_missing_run_dir_fails(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from flowbench.extract import (
     ae_encode, ae_fit, ae_reconstruct, autoencoder_specs, lda_fit, lda_transform,
-    pca_fit, pca_inverse, pca_transform, variance_report,
+    pca_fit, pca_inverse, pca_transform, pca_truncate, variance_report,
 )
 from flowbench.ingest import FeatureMatrix
 from flowbench.nn import TrainConfig
@@ -84,6 +84,19 @@ class TestPca:
             pca_fit(x, 0)
         with pytest.raises(ValueError):
             pca_fit(x[:1], 1)
+
+    def test_truncate_is_bit_identical_prefix(self):
+        x = np.random.default_rng(10).normal(size=(12, 5))
+        full = pca_fit(x, 5)
+        for k in range(1, 6):
+            want, got = pca_fit(x, k), pca_truncate(full, k)
+            for field in ("mean", "components", "singular_values", "explained_variance"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.total_variance == want.total_variance
+        with pytest.raises(ValueError, match=r"^k=6 out of range 1\.\.5$"):
+            pca_truncate(full, 6)
+        with pytest.raises(ValueError, match=r"^k=0 out of range 1\.\.5$"):
+            pca_truncate(full, 0)
 
 
 class TestPcaTransform:

@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -171,6 +175,89 @@ class TestRun:
         a = (tmp_path / "seq" / "results.csv").read_bytes()
         b = (tmp_path / "par" / "results.csv").read_bytes()
         assert a == b
+
+
+class TestSharedFits:
+    @pytest.mark.parametrize("fit_global", [False, True])
+    def test_scaler_and_svd_fitted_once_per_fold(self, dataset, tmp_path, monkeypatch,
+                                                 fit_global):
+        import flowbench.runner as runner_mod
+
+        calls = {"fit_scaler": 0, "pca_fit": 0}
+        for name in calls:
+            real = getattr(runner_mod, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(runner_mod, name, counted)
+        config = small_config(dataset, tmp_path / "out", dimensions=(1, 2, 3),
+                              models=("nb",), fit_global=fit_global)
+        records = run(config)
+        assert all(r["status"] == "ok" for r in records)
+        # one fit per fold, plus the variance report's fit on all rows;
+        # with fit_global the report's fit is the only one
+        expected = 1 if fit_global else config.folds + 1
+        assert calls == {"fit_scaler": expected, "pca_fit": expected}
+
+    def test_failed_fold_pca_fails_only_pca_cells(self, dataset, tmp_path, monkeypatch):
+        import flowbench.runner as runner_mod
+
+        config = small_config(dataset, tmp_path / "out")
+        n_total = load_dataset(config).n_samples
+        real = runner_mod.pca_fit
+
+        def failing_on_folds(fm, k):
+            if fm.n_samples < n_total:
+                raise ValueError("SVD did not converge")
+            return real(fm, k)
+
+        monkeypatch.setattr(runner_mod, "pca_fit", failing_on_folds)
+        means = [r for r in run(config) if r["fold"] == "mean"]
+        assert len(means) == 8
+        for r in means:
+            if r["fe"] == "pca":
+                assert r["status"] == "failed"
+                assert r["error"] == "ValueError: SVD did not converge"
+            else:
+                assert r["status"] == "ok"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the crashing classifier reaches the workers only through fork")
+def test_crashed_worker_keeps_finished_groups(dataset, tmp_path, monkeypatch):
+    """Groups that finished before a worker died are flushed, and a rerun resumes."""
+    import flowbench.runner as runner_mod
+
+    uninterrupted = small_config(dataset, tmp_path / "uninterrupted")
+    run(uninterrupted)
+    config = small_config(dataset, tmp_path / "out")
+    width = load_dataset(config).n_features
+    others = {f"{fe}:{dims}:{m}" for fe, dims in (("pca", 2), ("pca", 3), ("lda", 1))
+              for m in config.models}
+    manifest = tmp_path / "out" / "manifest.json"
+    real = runner_mod.fit_classifier
+
+    def crash_in_full_group(spec, train, cfg):
+        if train.n_features != width:
+            return real(spec, train, cfg)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if manifest.exists() and others <= json.loads(manifest.read_text())["completed"].keys():
+                break
+            time.sleep(0.05)
+        os._exit(1)
+
+    monkeypatch.setattr(runner_mod, "fit_classifier", crash_in_full_group)
+    with pytest.raises(BrokenProcessPool):
+        run(config, jobs=2)
+    assert json.loads(manifest.read_text())["completed"].keys() == others
+
+    monkeypatch.undo()
+    run(config)
+    assert ((tmp_path / "out" / "results.csv").read_bytes()
+            == (tmp_path / "uninterrupted" / "results.csv").read_bytes())
 
 
 class TestFoldIsolation:
