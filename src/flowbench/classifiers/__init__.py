@@ -13,7 +13,7 @@ from ..preprocess import ClassWeights, class_weights
 from .bayes import GnbModel, gnb_fit, gnb_score
 from .logistic import LrModel, lr_fit, lr_score
 from .nets import cnn_layers, conv_output_lengths, dff_layers, rnn_layers
-from .tree import TreeNode, best_split, dt_fit, dt_score, gini
+from .tree import TreeModel, best_split, dt_fit, dt_score, gini
 
 DEEP_KINDS = ("dff", "cnn", "rnn")
 SHALLOW_KINDS = ("dt", "lr", "nb")
@@ -56,7 +56,7 @@ class ClassifierSpec:
 class FittedClassifier:
     kind: str
     n_features: int
-    model: object  # Network | TreeNode | LrModel | GnbModel
+    model: object  # Network | TreeModel | LrModel | GnbModel
 
     def predict_proba(self, m) -> np.ndarray:
         x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
@@ -117,7 +117,7 @@ def fit_predict(
 
 __all__ = [
     "ALL_KINDS", "ClassifierSpec", "DEEP_KINDS", "FittedClassifier", "GnbModel",
-    "LrModel", "SHALLOW_KINDS", "TreeNode", "best_split", "cnn_layers",
+    "LrModel", "SHALLOW_KINDS", "TreeModel", "best_split", "cnn_layers",
     "conv_output_lengths", "dff_layers", "dt_fit", "dt_score", "fit_classifier",
     "fit_predict", "gini", "gnb_fit", "gnb_score", "lr_fit", "lr_score", "rnn_layers",
 ]

@@ -16,28 +16,29 @@ from ..ingest import FeatureMatrix
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class counts)."""
+class TreeModel:
+    """A binary tree stored as parallel arrays, one entry per node; node 0 is the root.
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: tuple[int, int] | None = None
+    An internal node sends rows with ``x[:, feature] <= threshold`` to
+    ``left`` and the rest to ``right``. A leaf has feature -1; its threshold
+    and children are unused. ``counts`` holds each node's training
+    (class-0, class-1) row counts.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray    # (nodes,) int64
+    threshold: np.ndarray  # (nodes,) float64
+    left: np.ndarray       # (nodes,) int64
+    right: np.ndarray      # (nodes,) int64
+    counts: np.ndarray     # (nodes, 2) int64
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def n_nodes(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.n_nodes() + self.right.n_nodes()
+        level, frontier = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            inner = frontier[self.feature[frontier] >= 0]
+            if inner.size == 0:
+                return level
+            frontier = np.concatenate([self.left[inner], self.right[inner]])
+            level += 1
 
 
 def gini(weight0: float, weight1: float) -> float:
@@ -90,7 +91,7 @@ def best_split(x, y, w):
     return best
 
 
-def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeNode:
+def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeModel:
     """Grow a tree to purity (or until no split reduces weighted Gini)."""
     x = train.values
     y = train.labels
@@ -98,47 +99,52 @@ def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeNode
         raise ValueError("cannot fit a tree on an empty matrix")
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
 
-    root = TreeNode()
-    stack = [(root, np.arange(x.shape[0]), 0)]
+    feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [(0, 0)]
+    stack = [(0, np.arange(x.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
         ys = y[idx]
         n1 = int((ys == 1).sum())
-        node.counts = (len(idx) - n1, n1)
+        counts[node] = (len(idx) - n1, n1)
         if n1 == 0 or n1 == len(idx) or (max_depth is not None and depth >= max_depth):
             continue
         found = best_split(x[idx], ys, None if w is None else w[idx])
         if found is None:
             continue
-        feature, threshold, _ = found
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
-        go_left = x[idx, feature] <= threshold
-        stack.append((node.left, idx[go_left], depth + 1))
-        stack.append((node.right, idx[~go_left], depth + 1))
-    return root
+        feature[node], threshold[node], _ = found
+        go_left = x[idx, feature[node]] <= threshold[node]
+        for children, rows in ((left, idx[go_left]), (right, idx[~go_left])):
+            children[node] = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            counts.append((0, 0))
+            stack.append((children[node], rows, depth + 1))
+    return TreeModel(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        counts=np.array(counts, dtype=np.int64),
+    )
 
 
-def dt_score(model: TreeNode, m) -> np.ndarray:
+def dt_score(model: TreeModel, m) -> np.ndarray:
     """Per-row probability of class 1 = leaf class-1 fraction."""
     x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-    probs = np.empty(x.shape[0])
-    stack = [(model, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            n0, n1 = node.counts
-            probs[idx] = n1 / (n0 + n1)
-            continue
-        if node.feature >= x.shape[1]:
-            raise ValueError(
-                f"tree expects at least {node.feature + 1} features, data has {x.shape[1]}"
-            )
-        go_left = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return probs
+    widest = int(model.feature.max())
+    if widest >= x.shape[1]:
+        raise ValueError(f"tree expects at least {widest + 1} features, data has {x.shape[1]}")
+    # every row moves down one level per step until all rows sit at leaves
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    while rows.size:
+        split_on = model.feature[node[rows]]
+        inner = split_on >= 0
+        rows, split_on = rows[inner], split_on[inner]
+        at = node[rows]
+        go_left = x[rows, split_on] <= model.threshold[at]
+        node[rows] = np.where(go_left, model.left[at], model.right[at])
+    n0, n1 = model.counts[node].T
+    return n1 / (n0 + n1)

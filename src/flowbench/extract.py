@@ -7,7 +7,7 @@ data behind the benchmark's variance analysis.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class AeModel:
     n_encoder_layers: int
     bottleneck: int
     final_loss: float
-    history: TrainHistory
+    history: TrainHistory = field(default_factory=TrainHistory)
 
 
 def ae_fit(train, k: int, cfg: TrainConfig) -> AeModel:

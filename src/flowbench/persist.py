@@ -1,211 +1,116 @@
-"""Model checkpoints: networks and extractors as .npz, trees and flat
-parameter records as JSON. Loads reproduce the saved model bit-exactly.
+"""Model checkpoints: every model is one .npz file.
+
+Each ndarray field is an entry named by its field path (``model.weights``,
+``network.0``); everything else goes in one JSON ``meta`` entry with the
+format version and the type name. A network is stored as its layer specs,
+its input width and its parameters. Loads reproduce the saved model
+bit-exactly; an autoencoder's training history is not saved.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .classifiers import FittedClassifier
 from .classifiers.bayes import GnbModel
 from .classifiers.logistic import LrModel
-from .classifiers.tree import TreeNode
+from .classifiers.tree import TreeModel
 from .extract import AeModel, LdaModel, PcaModel
 from .nn.layers import LayerSpec
 from .nn.network import Network, TrainHistory, build_network
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_TYPES = {cls.__name__: cls for cls in (
+    FittedClassifier, TreeModel, LrModel, GnbModel, PcaModel, LdaModel, AeModel, Network,
+)}
 
 
-def _specs_to_json(specs) -> str:
-    return json.dumps([s.to_dict() for s in specs])
+def _encode(obj, prefix: str, arrays: dict) -> dict:
+    """JSON description of obj; its ndarrays go into arrays under their field paths."""
+    name = type(obj).__name__
+    if _TYPES.get(name) is not type(obj):
+        raise TypeError(f"cannot persist objects of type {name}")
+    doc = {"type": name}
+    if isinstance(obj, Network):
+        for i, p in enumerate(obj.params()):
+            arrays[f"{prefix}{i}"] = p
+        doc.update(specs=[s.to_dict() for s in obj.specs], input_dim=obj.input_dim)
+        return doc
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, TrainHistory):
+            continue  # loads get an empty history
+        if isinstance(value, np.ndarray):
+            arrays[prefix + f.name] = value
+        elif isinstance(value, Network) or is_dataclass(value):
+            doc[f.name] = _encode(value, f"{prefix}{f.name}.", arrays)
+        else:
+            doc[f.name] = value
+    return doc
 
 
-def _specs_from_json(blob) -> list[LayerSpec]:
-    return [LayerSpec(**d) for d in json.loads(blob)]
-
-
-def _save_npz(path, meta: dict, arrays: list[np.ndarray]) -> None:
-    payload = {f"arr_{i}": a for i, a in enumerate(arrays)}
-    payload["meta"] = np.array(json.dumps(meta))
-    # write through a handle so numpy keeps the caller's exact filename
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
-
-
-def _load_npz(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        arrays = [data[f"arr_{i}"] for i in range(meta["n_arrays"])]
-    return meta, arrays
-
-
-def _network_payload(net: Network) -> tuple[dict, list[np.ndarray]]:
-    params = net.params()
-    meta = {
-        "specs": _specs_to_json(net.specs),
-        "input_dim": net.input_dim,
-        "n_arrays": len(params),
-    }
-    return meta, params
-
-
-def _network_from_payload(meta: dict, arrays) -> Network:
-    net = build_network(_specs_from_json(meta["specs"]), meta["input_dim"])
-    params = net.params()
-    if len(params) != len(arrays):
-        raise ValueError("checkpoint parameter count does not match the spec")
-    for p, a in zip(params, arrays):
-        if p.shape != a.shape:
-            raise ValueError("checkpoint tensor shape does not match the spec")
-        p[...] = a
-    return net
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-        "counts": list(node.counts) if node.counts else None,
-    }
-
-
-def _tree_from_dict(d: dict) -> TreeNode:
-    if "feature" not in d:
-        return TreeNode(counts=tuple(d["counts"]))
-    return TreeNode(
-        feature=d["feature"],
-        threshold=d["threshold"],
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-        counts=tuple(d["counts"]) if d.get("counts") else None,
-    )
+def _decode(doc: dict, prefix: str, arrays: dict):
+    cls = _TYPES.get(doc.get("type"))
+    if cls is None:
+        raise ValueError(f"unknown checkpoint type {doc.get('type')!r}")
+    if cls is Network:
+        net = build_network([LayerSpec(**d) for d in doc["specs"]], doc["input_dim"])
+        params = net.params()
+        saved = []
+        while f"{prefix}{len(saved)}" in arrays:
+            saved.append(arrays[f"{prefix}{len(saved)}"])
+        if len(params) != len(saved):
+            raise ValueError("checkpoint parameter count does not match the spec")
+        for p, a in zip(params, saved):
+            if p.shape != a.shape:
+                raise ValueError("checkpoint tensor shape does not match the spec")
+            p[...] = a
+        return net
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        if isinstance(doc.get(f.name), dict):
+            kwargs[f.name] = _decode(doc[f.name], key + ".", arrays)
+        elif f.name in doc:
+            kwargs[f.name] = doc[f.name]
+        elif key in arrays:
+            kwargs[f.name] = arrays[key]
+    return cls(**kwargs)
 
 
 def save_model(model, path) -> None:
-    """Write one fitted model; the format is chosen by model type."""
-    if isinstance(model, FittedClassifier):
-        if isinstance(model.model, Network):
-            meta, arrays = _network_payload(model.model)
-            meta.update(version=FORMAT_VERSION, type="classifier",
-                        kind=model.kind, n_features=model.n_features)
-            _save_npz(path, meta, arrays)
-            return
-        doc = {"version": FORMAT_VERSION, "type": "classifier",
-               "kind": model.kind, "n_features": model.n_features,
-               "inner": _shallow_to_dict(model.model)}
-        _write_json(path, doc)
-        return
-    if isinstance(model, Network):
-        meta, arrays = _network_payload(model)
-        meta.update(version=FORMAT_VERSION, type="network")
-        _save_npz(path, meta, arrays)
-    elif isinstance(model, AeModel):
-        meta, arrays = _network_payload(model.network)
-        meta.update(version=FORMAT_VERSION, type="autoencoder",
-                    n_encoder_layers=model.n_encoder_layers,
-                    bottleneck=model.bottleneck, final_loss=model.final_loss)
-        _save_npz(path, meta, arrays)
-    elif isinstance(model, PcaModel):
-        arrays = [model.mean, model.components, model.singular_values,
-                  model.explained_variance]
-        _save_npz(path, {"version": FORMAT_VERSION, "type": "pca",
-                         "total_variance": model.total_variance,
-                         "n_arrays": len(arrays)}, arrays)
-    elif isinstance(model, LdaModel):
-        arrays = [model.projection, model.class_means]
-        _save_npz(path, {"version": FORMAT_VERSION, "type": "lda",
-                         "output_variance": model.output_variance,
-                         "zero_separation": model.zero_separation,
-                         "n_arrays": len(arrays)}, arrays)
-    elif isinstance(model, TreeNode):
-        _write_json(path, {"version": FORMAT_VERSION, "type": "tree",
-                           "root": _tree_to_dict(model)})
-    elif isinstance(model, (LrModel, GnbModel)):
-        _write_json(path, {"version": FORMAT_VERSION,
-                           "type": "lr" if isinstance(model, LrModel) else "gnb",
-                           "inner": _shallow_to_dict(model)})
-    else:
-        raise TypeError(f"cannot persist objects of type {type(model).__name__}")
-
-
-def _shallow_to_dict(model) -> dict:
-    if isinstance(model, TreeNode):
-        return {"type": "tree", "root": _tree_to_dict(model)}
-    if isinstance(model, LrModel):
-        return {"type": "lr", "weights": model.weights.tolist(), "bias": model.bias,
-                "C": model.C, "converged": model.converged,
-                "iterations_used": model.iterations_used}
-    if isinstance(model, GnbModel):
-        return {"type": "gnb", "priors": model.priors.tolist(),
-                "means": model.means.tolist(), "variances": model.variances.tolist(),
-                "smoothing": model.smoothing}
-    raise TypeError(f"cannot persist objects of type {type(model).__name__}")
-
-
-def _shallow_from_dict(doc: dict):
-    if doc["type"] == "tree":
-        return _tree_from_dict(doc["root"])
-    if doc["type"] == "lr":
-        return LrModel(weights=np.array(doc["weights"], dtype=np.float64),
-                       bias=doc["bias"], C=doc["C"], converged=doc["converged"],
-                       iterations_used=doc["iterations_used"])
-    if doc["type"] == "gnb":
-        return GnbModel(priors=np.array(doc["priors"], dtype=np.float64),
-                        means=np.array(doc["means"], dtype=np.float64),
-                        variances=np.array(doc["variances"], dtype=np.float64),
-                        smoothing=doc["smoothing"])
-    raise ValueError(f"unknown shallow model type {doc['type']!r}")
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    """Write one fitted model as a .npz checkpoint."""
+    arrays: dict[str, np.ndarray] = {}
+    meta = {"version": FORMAT_VERSION, **_encode(model, "", arrays)}
+    # write through a handle so numpy keeps the caller's exact filename
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path):
-    """Read back anything save_model wrote."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"PK":  # npz is a zip archive
-        meta, arrays = _load_npz(path)
-        if meta["version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        if meta["type"] == "network":
-            return _network_from_payload(meta, arrays)
-        if meta["type"] == "classifier":
-            net = _network_from_payload(meta, arrays)
-            return FittedClassifier(kind=meta["kind"], n_features=meta["n_features"],
-                                    model=net)
-        if meta["type"] == "autoencoder":
-            return AeModel(network=_network_from_payload(meta, arrays),
-                           n_encoder_layers=meta["n_encoder_layers"],
-                           bottleneck=meta["bottleneck"],
-                           final_loss=meta["final_loss"], history=TrainHistory())
-        if meta["type"] == "pca":
-            return PcaModel(mean=arrays[0], components=arrays[1],
-                            singular_values=arrays[2], explained_variance=arrays[3],
-                            total_variance=meta["total_variance"])
-        if meta["type"] == "lda":
-            return LdaModel(projection=arrays[0], class_means=arrays[1],
-                            output_variance=meta["output_variance"],
-                            zero_separation=meta["zero_separation"])
-        raise ValueError(f"unknown checkpoint type {meta['type']!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc["version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc['version']}")
-    if doc["type"] == "tree":
-        return _tree_from_dict(doc["root"])
-    if doc["type"] == "classifier":
-        inner = _shallow_from_dict(doc["inner"])
-        return FittedClassifier(kind=doc["kind"], n_features=doc["n_features"],
-                                model=inner)
-    return _shallow_from_dict(doc["inner"])
+    """Read back anything save_model wrote; any other file raises ValueError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):
+        raise ValueError(f"{path}: not a flowbench checkpoint (not an .npz archive)") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a flowbench checkpoint (a bare .npy array)")
+    with data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: not a flowbench checkpoint (no meta entry)")
+        try:
+            meta = json.loads(str(data["meta"]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable checkpoint ({exc})") from None
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    try:
+        return _decode(meta, "", arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

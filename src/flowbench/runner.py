@@ -361,7 +361,7 @@ class _RunState:
         }
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))  # json.dump never uses the C encoder
         tmp.replace(self.path)
 
 

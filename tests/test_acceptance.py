@@ -193,8 +193,8 @@ def test_criterion_7_cart_exactness():
                                 labels=np.array([0, 0, 1, 1])))
     report(7, "root split equals exhaustive Gini argmin; consistent data is "
               "memorized",
-           agree and train_acc == 1.0 and hand.threshold == 1.5,
-           f"500 enumerations, train acc {train_acc:.3f}, hand threshold {hand.threshold}")
+           agree and train_acc == 1.0 and hand.threshold[0] == 1.5,
+           f"500 enumerations, train acc {train_acc:.3f}, hand threshold {hand.threshold[0]}")
 
 
 def test_criterion_8_gnb_closed_form():

@@ -6,7 +6,7 @@ from flowbench.classifiers import (
     fit_classifier, fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
 )
 from flowbench.classifiers.logistic import _loss_grad
-from flowbench.classifiers.tree import TreeNode, best_split, gini
+from flowbench.classifiers.tree import TreeModel, best_split, gini
 from flowbench.ingest import FeatureMatrix
 from flowbench.nn import TrainConfig, build_network, parameter_count
 from flowbench.persist import load_model, save_model
@@ -116,21 +116,29 @@ def exhaustive_best_split(x, y, w=None):
     return best
 
 
+def tree_model(feature, threshold, left, right, counts) -> TreeModel:
+    return TreeModel(feature=np.array(feature, dtype=np.int64),
+                     threshold=np.array(threshold, dtype=np.float64),
+                     left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
+                     counts=np.array(counts, dtype=np.int64))
+
+
 class TestDecisionTree:
     def test_hand_enumerated_root(self):
         fm = matrix([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
         tree = dt_fit(fm)
-        assert tree.feature == 0
-        assert tree.threshold == 1.5
-        assert tree.left.is_leaf and tree.right.is_leaf
-        assert tree.left.counts == (2, 0)
-        assert tree.right.counts == (0, 2)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 1.5
+        left, right = tree.left[0], tree.right[0]
+        assert tree.feature[left] == -1 and tree.feature[right] == -1
+        assert tuple(tree.counts[left]) == (2, 0)
+        assert tuple(tree.counts[right]) == (0, 2)
 
     def test_pure_input_single_leaf(self):
         fm = matrix([[1.0], [2.0], [3.0]], [1, 1, 1])
         tree = dt_fit(fm)
-        assert tree.is_leaf
-        assert tree.counts == (0, 3)
+        assert tree.feature.tolist() == [-1]
+        assert tuple(tree.counts[0]) == (0, 3)
 
     def test_consistent_data_perfect_train_accuracy(self):
         rng = np.random.default_rng(0)
@@ -184,35 +192,36 @@ class TestDecisionTree:
         tree = dt_fit(fm)
 
         def walk(node, idx):
-            if node.is_leaf:
+            feature = tree.feature[node]
+            if feature < 0:
                 return
             y = fm.labels[idx]
             parent = gini(float((y == 0).sum()), float((y == 1).sum()))
-            left = idx[fm.values[idx, node.feature] <= node.threshold]
-            right = idx[fm.values[idx, node.feature] > node.threshold]
+            left = idx[fm.values[idx, feature] <= tree.threshold[node]]
+            right = idx[fm.values[idx, feature] > tree.threshold[node]]
             yl, yr = fm.labels[left], fm.labels[right]
             child = (
                 len(left) * gini(float((yl == 0).sum()), float((yl == 1).sum()))
                 + len(right) * gini(float((yr == 0).sum()), float((yr == 1).sum()))
             ) / len(idx)
             assert child < parent
-            walk(node.left, left)
-            walk(node.right, right)
+            walk(tree.left[node], left)
+            walk(tree.right[node], right)
 
-        walk(tree, np.arange(fm.n_samples))
+        walk(0, np.arange(fm.n_samples))
         assert tree.depth() <= fm.n_samples
 
     def test_leaf_fraction_probabilities(self):
-        leaf = TreeNode(counts=(3, 1))
+        leaf = tree_model([-1], [0.0], [-1], [-1], [(3, 1)])
         fm = matrix([[0.0]], [0])
         assert dt_score(leaf, fm)[0] == 0.25
-        pure = TreeNode(counts=(0, 4))
+        pure = tree_model([-1], [0.0], [-1], [-1], [(0, 4)])
         assert dt_score(pure, fm)[0] == 1.0
 
     def test_routing_convention(self):
         # value == threshold goes left at every internal node
-        tree = TreeNode(feature=0, threshold=1.0,
-                        left=TreeNode(counts=(1, 0)), right=TreeNode(counts=(0, 1)))
+        tree = tree_model([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                          [(1, 1), (1, 0), (0, 1)])
         fm = matrix([[1.0], [1.0001]], [0, 1])
         probs = dt_score(tree, fm)
         assert probs[0] == 0.0 and probs[1] == 1.0
@@ -392,10 +401,10 @@ class TestFitPredict:
 
     def test_fitted_classifier_checkpoint(self, tmp_path):
         train = blobs(n0=40, n1=40, d=5, separation=2.0, seed=22, scale01=True)
-        for kind, suffix in (("dff", "npz"), ("dt", "json"), ("lr", "json"), ("nb", "json")):
+        for kind in ("dff", "dt", "lr", "nb"):
             fitted = fit_classifier(ClassifierSpec(kind=kind), train,
                                     TrainConfig(epochs=2, seed=1))
-            path = tmp_path / f"{kind}.{suffix}"
+            path = tmp_path / f"{kind}.npz"
             save_model(fitted, path)
             loaded = load_model(path)
             np.testing.assert_array_equal(

@@ -1,9 +1,11 @@
-"""Smoke tests: the quick demos run as a user would start them and leave no files behind."""
+"""Smoke tests: every demo runs as a user would start it and leaves no files behind."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,14 +22,16 @@ def run_demo(name, tmp_path) -> str:
     return proc.stdout
 
 
-def test_preprocess_demo_runs(tmp_path):
-    assert "all finite: True" in run_demo("01_preprocess_flows.py", tmp_path)
+# a line each demo prints when it gets to its end
+DEMOS = {
+    "01_preprocess_flows.py": "all finite: True",
+    "02_feature_extractors.py": "bottleneck codes: shape",
+    "03_networks_from_scratch.py": "parameters bit-identical after reload: True",
+    "04_classifier_showdown.py": "per-attack detection rates",
+    "05_full_benchmark.py": "result record(s)",
+}
 
 
-def test_networks_demo_runs(tmp_path):
-    out = run_demo("03_networks_from_scratch.py", tmp_path)
-    assert "parameters bit-identical after reload: True" in out
-
-
-def test_classifier_demo_runs(tmp_path):
-    assert "per-attack detection rates" in run_demo("04_classifier_showdown.py", tmp_path)
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_runs(tmp_path, name):
+    assert DEMOS[name] in run_demo(name, tmp_path)

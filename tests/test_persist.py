@@ -1,7 +1,12 @@
+import json
+import re
+
+import numpy as np
 import pytest
 
-from flowbench.classifiers import dt_fit, gnb_fit, lr_fit
+from flowbench.classifiers import dt_fit, dt_score, gnb_fit, lr_fit
 from flowbench.extract import lda_fit, pca_fit
+from flowbench.ingest import FeatureMatrix
 from flowbench.persist import load_model, save_model
 
 from helpers import blobs
@@ -28,37 +33,49 @@ def test_lda_round_trip(tmp_path):
     assert loaded.zero_separation == model.zero_separation
 
 
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
 def test_tree_round_trip_exact(tmp_path):
     fm = blobs(60, 60, d=3, separation=1.5, seed=2)
     tree = dt_fit(fm)
-    save_model(tree, tmp_path / "tree.json")
-    loaded = load_model(tmp_path / "tree.json")
+    save_model(tree, tmp_path / "tree.npz")
+    loaded = load_model(tmp_path / "tree.npz")
+    for name in TREE_ARRAYS:
+        a, b = getattr(tree, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
-    def compare(a, b):
-        assert a.is_leaf == b.is_leaf
-        if a.is_leaf:
-            assert a.counts == b.counts
-            return
-        assert a.feature == b.feature
-        assert a.threshold == b.threshold  # exact float round trip via JSON repr
-        compare(a.left, b.left)
-        compare(a.right, b.right)
 
-    compare(tree, loaded)
+def test_deep_tree_round_trip(tmp_path):
+    # alternating labels on a line: every split peels off one row, depth n - 1
+    n = 3000
+    fm = FeatureMatrix(values=np.arange(n, dtype=np.float64)[:, None], feature_names=["f0"],
+                       labels=np.arange(n) % 2)
+    tree = dt_fit(fm)
+    assert tree.depth() == n - 1
+    save_model(tree, tmp_path / "deep.npz")
+    loaded = load_model(tmp_path / "deep.npz")
+    for name in TREE_ARRAYS:
+        assert getattr(loaded, name).tobytes() == getattr(tree, name).tobytes()
+    assert loaded.depth() == n - 1
+    probs = dt_score(tree, fm)
+    assert probs.tobytes() == dt_score(loaded, fm).tobytes()
+    assert (probs == fm.labels).all()
 
 
 def test_lr_and_gnb_round_trip(tmp_path):
     fm = blobs(50, 50, d=4, separation=2.0, seed=3)
     lr = lr_fit(fm)
-    save_model(lr, tmp_path / "lr.json")
-    loaded_lr = load_model(tmp_path / "lr.json")
+    save_model(lr, tmp_path / "lr.npz")
+    loaded_lr = load_model(tmp_path / "lr.npz")
     assert loaded_lr.weights.tobytes() == lr.weights.tobytes()
     assert loaded_lr.bias == lr.bias
     assert loaded_lr.converged == lr.converged
 
     gnb = gnb_fit(fm)
-    save_model(gnb, tmp_path / "gnb.json")
-    loaded_gnb = load_model(tmp_path / "gnb.json")
+    save_model(gnb, tmp_path / "gnb.npz")
+    loaded_gnb = load_model(tmp_path / "gnb.npz")
     assert loaded_gnb.means.tobytes() == gnb.means.tobytes()
     assert loaded_gnb.variances.tobytes() == gnb.variances.tobytes()
     assert loaded_gnb.smoothing == gnb.smoothing
@@ -66,4 +83,44 @@ def test_lr_and_gnb_round_trip(tmp_path):
 
 def test_unknown_type_rejected(tmp_path):
     with pytest.raises(TypeError):
-        save_model({"not": "a model"}, tmp_path / "x.json")
+        save_model({"not": "a model"}, tmp_path / "x.npz")
+
+
+def _v1_json(path):
+    path.write_text(json.dumps({"version": 1, "type": "tree", "root": {"counts": [0, 3]}}))
+
+
+def _plain_text(path):
+    path.write_text("feature,threshold\n0,1.5\n")
+
+
+def _bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(4.0))
+
+
+def _npz_without_meta(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, weights=np.arange(4.0))
+
+
+def _meta(path, **meta):
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)))
+
+
+@pytest.mark.parametrize("write", [
+    _v1_json,
+    _plain_text,
+    _bare_npy,
+    _npz_without_meta,
+    lambda path: _meta(path, version=2, type="Pipeline"),
+    lambda path: _meta(path, version=1, type="TreeModel"),
+    lambda path: _meta(path, version=3, type="LrModel"),
+], ids=["v1-json", "plain-text", "bare-npy", "npz-without-meta", "unknown-type",
+        "version-1", "version-3"])
+def test_foreign_checkpoint_rejected(tmp_path, write):
+    path = tmp_path / "model.npz"
+    write(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_model(path)

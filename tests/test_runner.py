@@ -1,9 +1,11 @@
+import csv
 import json
 import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from flowbench.runner import (
@@ -36,6 +38,11 @@ def small_config(dataset, out_dir, **over) -> ExperimentConfig:
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestConfig:
@@ -95,6 +102,29 @@ class TestRun:
         assert len(roc_files) == 8
         sweep_files = list((out / "sweeps").glob("*.csv"))
         assert len(sweep_files) == 2  # one per model
+
+        assert read_csv(out / "best_per_model.csv")[1:] == [
+            [r["dataset"], r["model"], r["fe"], str(r["dims"]),
+             *(repr(r[k]) for k in ("acc", "f1", "dr", "far", "auc"))]
+            for r in best_per_model(records)
+        ]
+        for model in config.models:
+            rows = sorted((r for r in means if r["model"] == model),
+                          key=lambda r: (r["fe"], r["dims"]))
+            sweep = read_csv(out / "sweeps" / f"synthetic_{model}.csv")
+            assert sweep == [["fe", "dims", "auc"]] + [
+                [r["fe"], str(r["dims"]), repr(r["auc"])] for r in rows
+            ]
+        n_features = next(r["dims"] for r in means if r["fe"] == "full")
+        assert len(read_csv(out / "variance" / "synthetic_pca.csv")) == 1 + n_features
+        assert len(read_csv(out / "variance" / "synthetic_lda.csv")) == 1 + 1
+        for r in means:
+            rows = read_csv(out / "roc" / f"{r['fe']}_{r['dims']}_{r['model']}.csv")
+            assert rows[0] == ["far", "dr"]
+            far, dr = np.array(rows[1:], dtype=np.float64).T
+            assert (far[0], dr[0], far[-1], dr[-1]) == (0.0, 0.0, 1.0, 1.0)
+            assert (np.diff(far) >= 0).all() and (np.diff(dr) >= 0).all()
+            assert repr(float(np.trapezoid(dr, far))) == repr(r["auc_pooled"])
 
     def test_full_uses_all_features_lda_one(self, dataset, tmp_path):
         records = run(small_config(dataset, tmp_path / "out"))
