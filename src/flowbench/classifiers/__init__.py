@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..ingest import FeatureMatrix
+from ..ingest import FeatureMatrix, model_input
 from ..nn.layers import LayerSpec
 from ..nn.network import Network, TrainConfig, train
 from ..preprocess import ClassWeights, class_weights
@@ -59,11 +59,7 @@ class FittedClassifier:
     model: object  # Network | TreeModel | LrModel | GnbModel
 
     def predict_proba(self, m) -> np.ndarray:
-        x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-        if x.shape[1] != self.n_features:
-            raise ValueError(
-                f"width mismatch: data has {x.shape[1]} features, model expects {self.n_features}"
-            )
+        x = model_input(m, self.n_features)
         if self.kind in DEEP_KINDS:
             return self.model.predict_proba(x)
         if self.kind == "dt":
@@ -80,11 +76,7 @@ def fit_classifier(
     cfg = cfg or TrainConfig()
     if spec.kind in DEEP_KINDS:
         if cfg.class_weights is None:
-            cfg = TrainConfig(
-                epochs=cfg.epochs, batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate, seed=cfg.seed,
-                class_weights=class_weights(trainset.labels), shuffle=cfg.shuffle,
-            )
+            cfg = replace(cfg, class_weights=class_weights(trainset.labels))
         net, _ = train(spec.layers(trainset.n_features), trainset, cfg)
         model: object = net
     elif spec.kind == "dt":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix
+from ..ingest import FeatureMatrix, model_input
 
 VAR_SMOOTHING = 1e-9
 
@@ -46,11 +46,7 @@ def gnb_fit(train: FeatureMatrix, var_smoothing: float = VAR_SMOOTHING) -> GnbMo
 
 def gnb_score(model: GnbModel, m) -> np.ndarray:
     """P(class 1 | x) via log-likelihood accumulation then normalization."""
-    x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-    if x.shape[1] != model.means.shape[1]:
-        raise ValueError(
-            f"width mismatch: data has {x.shape[1]} features, model expects {model.means.shape[1]}"
-        )
+    x = model_input(m, model.means.shape[1])
     joint = np.empty((x.shape[0], 2))
     for cls in (0, 1):
         var = model.variances[cls]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix
+from ..ingest import FeatureMatrix, model_input
 from ..nn.layers import sigmoid
 from ..preprocess import ClassWeights
 
@@ -123,9 +123,4 @@ def lr_fit(
 
 
 def lr_score(model: LrModel, m) -> np.ndarray:
-    x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-    if x.shape[1] != model.weights.shape[0]:
-        raise ValueError(
-            f"width mismatch: data has {x.shape[1]} features, model expects {model.weights.shape[0]}"
-        )
-    return sigmoid(model.decision(x))
+    return sigmoid(model.decision(model_input(m, model.weights.shape[0])))

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
 
+from .ingest import write_csv
 from .runner import ExperimentConfig, best_per_model, read_manifest, run, run_summary
 from .schema import schema_to_file
 from .synth import SynthSpec, schema_for, synth_generate
@@ -55,11 +55,8 @@ def _cmd_report(args) -> int:
     if len(args.run_dirs) > 1:
         # grouped cross-dataset comparison at each model's best (fe, dims) per dataset
         out = Path(args.run_dirs[0]) / "cross_dataset.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "fe", "dataset", "dims", "auc"])
-            for r in best_per_model(all_records):
-                writer.writerow([r["model"], r["fe"], r["dataset"], r["dims"], repr(r["auc"])])
+        columns = ("model", "fe", "dataset", "dims", "auc")
+        write_csv(out, columns, ([r[c] for c in columns] for r in best_per_model(all_records)))
         print(f"wrote {out}")
     return 0
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ingest import write_csv
 
 
 @dataclass
@@ -44,11 +45,7 @@ class RocCurve:
     dr: np.ndarray
 
     def dump_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["far", "dr"])
-            for x, y in zip(self.far, self.dr):
-                writer.writerow([repr(float(x)), repr(float(y))])
+        write_csv(path, ("far", "dr"), zip(self.far.tolist(), self.dr.tolist()))
 
 
 @dataclass

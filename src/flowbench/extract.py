@@ -6,12 +6,11 @@ data behind the benchmark's variance analysis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import FeatureMatrix
+from .ingest import FeatureMatrix, model_input, write_csv
 from .nn.layers import LayerSpec
 from .nn.network import Network, TrainConfig, TrainHistory, build_network, fit_network
 
@@ -91,11 +90,7 @@ def pca_truncate(model: PcaModel, k: int) -> PcaModel:
 
 
 def pca_transform(m, model: PcaModel):
-    x = _values(m)
-    if x.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"width mismatch: data has {x.shape[1]} features, model expects {model.mean.shape[0]}"
-        )
+    x = model_input(m, model.mean.shape[0])
     z = (x - model.mean) @ model.components.T
     return _as_output(m, z, "pc")
 
@@ -159,11 +154,7 @@ def lda_fit(train: FeatureMatrix) -> LdaModel:
 
 
 def lda_transform(m, model: LdaModel):
-    x = _values(m)
-    if x.shape[1] != model.projection.shape[1]:
-        raise ValueError(
-            f"width mismatch: data has {x.shape[1]} features, model expects {model.projection.shape[1]}"
-        )
+    x = model_input(m, model.projection.shape[1])
     z = x @ model.projection.T
     return _as_output(m, z, "ld")
 
@@ -218,12 +209,7 @@ def ae_fit(train, k: int, cfg: TrainConfig) -> AeModel:
 
 
 def ae_encode(m, model: AeModel):
-    x = _values(m)
-    if x.shape[1] != model.network.input_dim:
-        raise ValueError(
-            f"width mismatch: data has {x.shape[1]} features, model expects {model.network.input_dim}"
-        )
-    z = x
+    z = model_input(m, model.network.input_dim)
     for layer in model.network.layers[: model.n_encoder_layers]:
         z = layer.forward(z, train=False)
     return _as_output(m, z, "ae")
@@ -243,11 +229,7 @@ class VarianceReport:
     cumulative_fraction: np.ndarray | None = None  # PCA only
 
     def dump_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dimension_index", "variance"])
-            for i, v in enumerate(self.variances):
-                writer.writerow([i, repr(float(v))])
+        write_csv(path, ("dimension_index", "variance"), enumerate(self.variances.tolist()))
 
 
 def variance_report(extracted, method: str, total_variance: float | None = None) -> VarianceReport:

@@ -23,6 +23,7 @@ import csv
 import logging
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -134,6 +135,19 @@ class FeatureMatrix:
         )
 
 
+def model_input(m, n_features: int) -> np.ndarray:
+    """The float64 values of a matrix or array given to a fitted model.
+
+    Fails unless the data has the ``n_features`` columns the model was fitted on.
+    """
+    x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
+    if x.shape[1] != n_features:
+        raise ValueError(
+            f"width mismatch: data has {x.shape[1]} features, model expects {n_features}"
+        )
+    return x
+
+
 def load_csv(path, schema: DatasetSchema) -> RawTable:
     """Read a comma-separated, header-first, UTF-8 flow file.
 
@@ -166,6 +180,20 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
                 )
             rows.append(tuple(row))
     return RawTable(columns=header, rows=rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV file: the header, then each row of Python values.
+
+    ``csv`` writes each value as its ``str``, so a float is its shortest
+    round-trip ``repr``, and ``None`` as an empty cell. Pass Python values
+    (``ndarray.tolist()``), not numpy scalars: a float32 holding
+    0.10000000149011612 would be written as ``0.1``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def drop_identifiers(table: RawTable, schema: DatasetSchema) -> RawTable:
@@ -357,14 +385,10 @@ def dump_feature_matrix(fm: FeatureMatrix, path) -> None:
     """Write a cleaned matrix as CSV: features, then label and attack_type.
 
     Values are written as the ``repr`` of Python floats, which reads back
-    bit for bit.
+    bit for bit. Rows are converted one at a time, so the matrix is never
+    held as Python floats.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(fm.feature_names) + ["label", "attack_type"])
-        types = fm.attack_types
-        for i in range(fm.n_samples):
-            row = [repr(v) for v in fm.values[i].tolist()]
-            row.append(str(int(fm.labels[i])))
-            row.append("" if types is None else str(types[i]))
-            writer.writerow(row)
+    types = repeat(None) if fm.attack_types is None else fm.attack_types
+    rows = (values.tolist() + [label, kind]
+            for values, label, kind in zip(fm.values, fm.labels.tolist(), types))
+    write_csv(path, [*fm.feature_names, "label", "attack_type"], rows)

@@ -15,7 +15,6 @@ making results independent of scheduling and of which cells already ran.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -32,7 +31,7 @@ from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, variance_report,
 )
-from .ingest import FeatureMatrix, load_feature_matrix
+from .ingest import FeatureMatrix, load_feature_matrix, write_csv
 from .nn.network import TrainConfig
 from .preprocess import (
     FoldPlan, ScalerModel, apply_scaler, fit_scaler, stratified_kfold, stratified_subsample,
@@ -81,16 +80,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
 
     @classmethod
-    def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    def from_dict(cls, raw: dict, source) -> "ExperimentConfig":
+        """A config from its JSON form; ``source`` names the file in errors."""
+        raw = dict(raw)
         version = raw.pop("version", None)
         if version != CONFIG_VERSION:
             raise ValueError(
-                f"{path}: config version must be {CONFIG_VERSION}, got {version!r}"
+                f"{source}: config version must be {CONFIG_VERSION}, got {version!r}"
             )
-        raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**raw)
+
+    @classmethod
+    def from_file(cls, path, **overrides) -> "ExperimentConfig":
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+        return cls.from_dict(raw, path)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -137,6 +142,8 @@ RESULT_COLUMNS = (
     "dataset", "model", "fe", "dims", "fold",
     "acc", "f1", "dr", "far", "precision", "auc", "auc_pooled", "status",
 )
+SWEEP_COLUMNS = ("fe", "dims", "auc")
+BEST_COLUMNS = ("dataset", "model", "fe", "dims", "acc", "f1", "dr", "far", "auc")
 
 
 def derive_seed(*parts) -> int:
@@ -365,20 +372,9 @@ class _RunState:
         tmp.replace(self.path)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(rec.get(col)) for col in RESULT_COLUMNS])
+    write_csv(path, RESULT_COLUMNS,
+              ([rec.get(col) for col in RESULT_COLUMNS] for rec in records))
 
 
 def _ordered_records(config: ExperimentConfig, completed: dict) -> list[dict]:
@@ -400,11 +396,10 @@ def run_summary(config: ExperimentConfig, completed: dict) -> tuple[list[dict], 
 
 def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
     """The config and the completed cells recorded in a run directory."""
-    with open(Path(run_dir) / "manifest.json", "r", encoding="utf-8") as fh:
+    path = Path(run_dir) / "manifest.json"
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    raw = dict(doc["config"])
-    raw.pop("version", None)
-    return ExperimentConfig(**raw), doc["completed"]
+    return ExperimentConfig.from_dict(doc["config"], path), doc["completed"]
 
 
 def _write_variance_reports(scaled: FeatureMatrix, pca: PcaModel | None,
@@ -528,20 +523,10 @@ def emit_plots(records: list[dict], out_dir: Path) -> None:
         by_model.setdefault(rec["model"], []).append(rec)
     for model, rows in by_model.items():
         rows = sorted(rows, key=lambda r: (r["fe"], r["dims"]))
-        path = sweep_dir / f"{rows[0]['dataset']}_{model}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fe", "dims", "auc"])
-            for r in rows:
-                writer.writerow([r["fe"], r["dims"], _fmt(r["auc"])])
-    best = best_per_model(records)
-    with open(out_dir / "best_per_model.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "model", "fe", "dims", "acc", "f1", "dr", "far", "auc"])
-        for r in best:
-            writer.writerow([r["dataset"], r["model"], r["fe"], r["dims"],
-                             _fmt(r["acc"]), _fmt(r["f1"]), _fmt(r["dr"]),
-                             _fmt(r["far"]), _fmt(r["auc"])])
+        write_csv(sweep_dir / f"{rows[0]['dataset']}_{model}.csv", SWEEP_COLUMNS,
+                  ([r[col] for col in SWEEP_COLUMNS] for r in rows))
+    write_csv(out_dir / "best_per_model.csv", BEST_COLUMNS,
+              ([r[col] for col in BEST_COLUMNS] for r in best_per_model(records)))
 
 
 def _pct(x) -> str:

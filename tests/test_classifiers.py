@@ -7,6 +7,9 @@ from flowbench.classifiers import (
 )
 from flowbench.classifiers.logistic import _loss_grad
 from flowbench.classifiers.tree import TreeModel, best_split, gini
+from flowbench.extract import (
+    ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
+)
 from flowbench.ingest import FeatureMatrix
 from flowbench.nn import TrainConfig, build_network, parameter_count
 from flowbench.persist import load_model, save_model
@@ -410,3 +413,28 @@ class TestFitPredict:
             np.testing.assert_array_equal(
                 fitted.predict_proba(train), loaded.predict_proba(train)
             )
+
+
+WIDTH_CHECKED = {
+    "predict_proba": (lambda m: fit_classifier(ClassifierSpec(kind="nb"), m),
+                      lambda model, x: model.predict_proba(x)),
+    "lr_score": (lr_fit, lr_score),
+    "gnb_score": (gnb_fit, gnb_score),
+    # the extractors take the data first
+    "pca_transform": (lambda m: pca_fit(m, 2), lambda model, x: pca_transform(x, model)),
+    "lda_transform": (lda_fit, lambda model, x: lda_transform(x, model)),
+    "ae_encode": (lambda m: ae_fit(m, 2, TrainConfig(epochs=1, batch_size=32, seed=0)),
+                  lambda model, x: ae_encode(x, model)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WIDTH_CHECKED))
+@pytest.mark.parametrize("as_matrix", [True, False])
+def test_width_mismatch_message(entry, as_matrix):
+    fit, score = WIDTH_CHECKED[entry]
+    model = fit(blobs(20, 20, d=4, seed=24, scale01=True))
+    narrow = blobs(5, 5, d=3, seed=25)
+    data = narrow if as_matrix else narrow.values
+    with pytest.raises(ValueError,
+                       match="^width mismatch: data has 3 features, model expects 4$"):
+        score(model, data)

@@ -115,3 +115,25 @@ def test_cross_dataset_report(synth_csv, tmp_path):
 def test_missing_run_dir_fails(tmp_path):
     with pytest.raises(SystemExit):
         main(["report", "--in", str(tmp_path / "nope")])
+
+
+def test_report_checks_manifest_config_version(synth_csv, tmp_path):
+    out_dir = tmp_path / "out"
+    config = {
+        "version": CONFIG_VERSION,
+        "dataset_path": str(synth_csv),
+        "fe_methods": ["full"],
+        "models": ["nb"],
+        "folds": 3,
+        "output_dir": str(out_dir),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    manifest = out_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["version"] = 99
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="version") as err:
+        main(["report", "--in", str(out_dir)])
+    assert str(manifest) in str(err.value)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from flowbench.runner import (
-    DEFAULT_DIMENSIONS, ExperimentConfig, best_overall, best_per_model, derive_seed,
-    load_dataset, run,
+    DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
+    derive_seed, load_dataset, read_manifest, run, run_summary,
 )
 from flowbench.synth import SynthSpec, synth_generate
 
@@ -183,6 +183,26 @@ class TestRun:
         assert by_dims[2]["status"] == "ok"
         assert by_dims[50]["status"] == "failed"
         assert by_dims[50]["error"]
+
+    def test_results_cells_are_manifest_values(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        run(small_config(dataset, out, dimensions=(2, 50), fe_methods=("full", "pca")))
+        records, _ = run_summary(*read_manifest(out))
+        rows = read_csv(out / "results.csv")
+        assert rows[0] == list(RESULT_COLUMNS)
+        assert len(rows) == 1 + len(records)
+        assert any(r["status"] == "failed" for r in records)
+        metrics = ("acc", "f1", "dr", "far", "precision", "auc", "auc_pooled")
+        for row, rec in zip(rows[1:], records):
+            cells = dict(zip(RESULT_COLUMNS, row))
+            for col in RESULT_COLUMNS:
+                if rec[col] is None:
+                    assert cells[col] == ""
+                elif col in metrics:
+                    assert repr(float(cells[col])) == cells[col]
+                    assert float(cells[col]) == rec[col]
+                else:
+                    assert cells[col] == str(rec[col])
 
     def test_per_attack_table_in_summary(self, dataset, tmp_path):
         out = tmp_path / "out"
