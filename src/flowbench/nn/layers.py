@@ -53,12 +53,10 @@ class LayerSpec:
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z|, so it cannot overflow
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _activate(name, z):
@@ -84,6 +82,15 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Layer:
+    """Base layer. ``PARAMS`` pairs each parameter attribute with its gradient.
+
+    ``Network`` rebinds these attributes as views into its flat buffers, so
+    a layer must write its gradients in place (``self.dw[...] = ...``) and
+    never rebind them.
+    """
+
+    PARAMS: tuple[tuple[str, str], ...] = ()
+
     def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
@@ -91,13 +98,15 @@ class Layer:
         raise NotImplementedError
 
     def params(self):
-        return []
+        return [getattr(self, p) for p, _ in self.PARAMS]
 
     def grads(self):
-        return []
+        return [getattr(self, g) for _, g in self.PARAMS]
 
 
 class Dense(Layer):
+    PARAMS = (("w", "dw"), ("b", "db"))
+
     def __init__(self, in_dim, units, activation="linear", rng=None):
         rng = rng or np.random.default_rng(0)
         self.activation = activation
@@ -119,15 +128,16 @@ class Dense(Layer):
         self.db[...] = dz.sum(axis=0)
         return dz @ self.w.T
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
 
 class Conv1D(Layer):
-    """Valid cross-correlation along the time axis; weight shape (k, c_in, filters)."""
+    """Valid cross-correlation along the time axis; weight shape (k, c_in, filters).
+
+    Computed as im2col plus one matmul: row (i, t) of ``cols`` holds the k
+    input steps t..t+k-1, channels innermost, which is the (k, c_in) order
+    of the flattened weight.
+    """
+
+    PARAMS = (("w", "dw"), ("b", "db"))
 
     def __init__(self, in_channels, filters, kernel_size, activation="linear", rng=None):
         rng = rng or np.random.default_rng(0)
@@ -139,39 +149,36 @@ class Conv1D(Layer):
         self.b = np.zeros(filters)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._windows = None
+        self._cols = None
         self._in_shape = None
         self._out = None
 
     def forward(self, x, train=False, rng=None):
-        if x.shape[1] < self.kernel_size:
-            raise ValueError(
-                f"sequence length {x.shape[1]} shorter than kernel {self.kernel_size}"
-            )
-        # windows: (n, T-k+1, channels, k)
-        self._windows = np.lib.stride_tricks.sliding_window_view(
-            x, self.kernel_size, axis=1
-        )
+        n, t, c = x.shape
+        k = self.kernel_size
+        if t < k:
+            raise ValueError(f"sequence length {t} shorter than kernel {k}")
+        out_len = t - k + 1
         self._in_shape = x.shape
-        z = np.einsum("ntck,kcf->ntf", self._windows, self.w) + self.b
-        self._out = _activate(self.activation, z)
+        self._cols = np.concatenate(
+            [x[:, j:j + out_len, :] for j in range(k)], axis=2
+        ).reshape(n * out_len, k * c)
+        z = self._cols @ self.w.reshape(k * c, -1) + self.b
+        self._out = _activate(self.activation, z.reshape(n, out_len, -1))
         return self._out
 
     def backward(self, grad):
         dz = grad * _activation_grad(self.activation, self._out)
-        self.dw[...] = np.einsum("ntck,ntf->kcf", self._windows, dz)
+        n, out_len, f = dz.shape
+        dz2 = dz.reshape(n * out_len, f)
+        self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
         self.db[...] = dz.sum(axis=(0, 1))
+        c = self._in_shape[2]
+        dcols = (dz2 @ self.w.reshape(-1, f).T).reshape(n, out_len, self.kernel_size, c)
         dx = np.zeros(self._in_shape)
-        out_len = dz.shape[1]
-        for dk in range(self.kernel_size):
-            dx[:, dk:dk + out_len, :] += dz @ self.w[dk].T
+        for j in range(self.kernel_size):
+            dx[:, j:j + out_len, :] += dcols[:, :, j, :]
         return dx
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
 
 
 class AvgPool1D(Layer):
@@ -204,6 +211,8 @@ class LSTM(Layer):
     candidate, output. Initial hidden and cell states are zero.
     """
 
+    PARAMS = (("wx", "dwx"), ("wh", "dwh"), ("b", "db"))
+
     def __init__(self, in_dim, units, rng=None):
         rng = rng or np.random.default_rng(0)
         self.units = units
@@ -231,7 +240,10 @@ class LSTM(Layer):
         self._steps = []
         for step in range(t):
             xt = x[:, step, :]
-            z = xt @ self.wx + h @ self.wh + self.b
+            if step == 0:  # h is zero, so h @ wh would add only zeros
+                z = xt @ self.wx + self.b
+            else:
+                z = xt @ self.wx + h @ self.wh + self.b
             i, f, g, o = self._gates(z)
             c_prev = c
             c = f * c_prev + i * g
@@ -264,18 +276,14 @@ class LSTM(Layer):
                 axis=1,
             )
             self.dwx += xt.T @ dz
-            self.dwh += h_prev.T @ dz
             self.db += dz.sum(axis=0)
             dx[:, step, :] = dz @ self.wx.T
+            if step == 0:  # h_prev is zero and nothing precedes it
+                break
+            self.dwh += h_prev.T @ dz
             dh = dz @ self.wh.T
             dc = dc * f
         return dx
-
-    def params(self):
-        return [self.wx, self.wh, self.b]
-
-    def grads(self):
-        return [self.dwx, self.dwh, self.db]
 
 
 class Dropout(Layer):

@@ -30,6 +30,10 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
 
 
 @dataclass
@@ -39,13 +43,30 @@ class TrainHistory:
 
 
 class Network:
-    """An ordered layer stack mapping a 2-D batch to a 2-D output."""
+    """An ordered layer stack mapping a 2-D batch to a 2-D output.
+
+    Every parameter lives in the one float64 array ``flat`` and every
+    gradient in ``flat_grad``; the layers' tensors are views into them, in
+    ``params()`` order, so one optimizer update covers the whole network.
+    """
 
     def __init__(self, layers, specs, input_dim, output_dim):
         self.layers = list(layers)
         self.specs = list(specs)
         self.input_dim = input_dim
         self.output_dim = output_dim
+        slots = [(layer, p, g) for layer in self.layers for p, g in layer.PARAMS]
+        total = sum(getattr(layer, p).size for layer, p, _ in slots)
+        self.flat = np.empty(total)
+        self.flat_grad = np.zeros(total)
+        offset = 0
+        for layer, p, g in slots:
+            tensor = getattr(layer, p)
+            end = offset + tensor.size
+            self.flat[offset:end] = tensor.ravel()
+            setattr(layer, p, self.flat[offset:end].reshape(tensor.shape))
+            setattr(layer, g, self.flat_grad[offset:end].reshape(tensor.shape))
+            offset = end
 
     def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=np.float64)
@@ -134,7 +155,7 @@ def build_network(specs, input_dim, rng=None) -> Network:
 
 
 def parameter_count(net: Network) -> int:
-    return sum(p.size for p in net.params())
+    return net.flat.size
 
 
 def fit_network(
@@ -156,7 +177,7 @@ def fit_network(
         raise ValueError("cannot train on an empty matrix")
     rng_shuffle = rng_shuffle or np.random.default_rng(cfg.seed)
     rng_dropout = rng_dropout or np.random.default_rng(cfg.seed + 1)
-    adam = Adam(net.params(), learning_rate=cfg.learning_rate)
+    adam = Adam([net.flat], learning_rate=cfg.learning_rate)
     history = TrainHistory()
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     order = np.arange(n)
@@ -172,7 +193,7 @@ def fit_network(
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
             net.backward(dout)
-            adam.step(net.grads())
+            adam.step([net.flat_grad])
             epoch_loss += loss * len(sel)
             history.steps += 1
         history.epoch_losses.append(epoch_loss / n)

@@ -78,6 +78,7 @@ class ExperimentConfig:
         unknown = set(self.train) - {"epochs", "batch_size", "learning_rate"}
         if unknown:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
+        self.train_config(0)  # TrainConfig validates the overrides
 
     @classmethod
     def from_dict(cls, raw: dict, source) -> "ExperimentConfig":

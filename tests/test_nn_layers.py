@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flowbench.nn import (
-    Adam, AvgPool1D, CLAMP_EPS, Dropout, LayerSpec, bce_loss, bce_with_grad,
-    build_network,
+    Adam, AvgPool1D, CLAMP_EPS, Conv1D, Dropout, LSTM, LayerSpec, bce_loss,
+    bce_with_grad, build_network, sigmoid,
 )
 from flowbench.preprocess import ClassWeights
 
@@ -165,3 +165,110 @@ class TestLayerSpecValidation:
     def test_conv_needs_kernel(self):
         with pytest.raises(ValueError):
             LayerSpec("conv1d", units=4)
+
+
+def sigmoid_reference(z):
+    """The masked-index form: each branch only exponentiates a non-positive value."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def conv_reference(layer, x, grad):
+    """Relu Conv1D forward and backward as an einsum over sliding windows."""
+    k = layer.kernel_size
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
+    out = np.maximum(np.einsum("ntck,kcf->ntf", windows, layer.w) + layer.b, 0.0)
+    dz = grad * (out > 0)
+    dw = np.einsum("ntck,ntf->kcf", windows, dz)
+    db = dz.sum(axis=(0, 1))
+    dx = np.zeros(x.shape)
+    for dk in range(k):
+        dx[:, dk:dk + dz.shape[1], :] += dz @ layer.w[dk].T
+    return out, dw, db, dx
+
+
+def lstm_reference(layer, x, grad):
+    """LSTM forward and backward with the recurrent product at every step."""
+    u = layer.units
+    n, t, _ = x.shape
+    h = np.zeros((n, u))
+    c = np.zeros((n, u))
+    steps = []
+    for step in range(t):
+        xt = x[:, step, :]
+        z = xt @ layer.wx + h @ layer.wh + layer.b
+        i, f = sigmoid_reference(z[:, :u]), sigmoid_reference(z[:, u:2 * u])
+        g, o = np.tanh(z[:, 2 * u:3 * u]), sigmoid_reference(z[:, 3 * u:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        steps.append((xt, h, i, f, g, o, c_prev, tc))
+        h = o * tc
+    dx = np.zeros(x.shape)
+    dwx, dwh, db = (np.zeros_like(p) for p in (layer.wx, layer.wh, layer.b))
+    dh = grad
+    dc = np.zeros_like(grad)
+    for step in range(t - 1, -1, -1):
+        xt, h_prev, i, f, g, o, c_prev, tc = steps[step]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dwx += xt.T @ dz
+        dwh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, step, :] = dz @ layer.wx.T
+        dh = dz @ layer.wh.T
+        dc = dc * f
+    return h, dwx, dwh, db, dx
+
+
+class TestKernelReferences:
+    @pytest.mark.parametrize("k,c,t", [(3, 1, 14), (2, 20, 6), (1, 20, 2), (4, 3, 4)])
+    def test_conv1d_matches_sliding_window_einsum(self, k, c, t):
+        rng = np.random.default_rng(k * 100 + c * 10 + t)
+        layer = Conv1D(c, 5, k, activation="relu", rng=rng)
+        layer.b[...] = rng.normal(size=5) * 0.1
+        x = rng.normal(size=(7, t, c))
+        grad = rng.normal(size=(7, t - k + 1, 5))
+        out, dw, db, dx = conv_reference(layer, x, grad)
+        close = dict(rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(layer.forward(x), out, **close)
+        np.testing.assert_allclose(layer.backward(grad), dx, **close)
+        np.testing.assert_allclose(layer.dw, dw, **close)
+        np.testing.assert_allclose(layer.db, db, **close)
+
+    def test_sigmoid_bit_identical_to_masked_form(self):
+        edges = [0.0, 1e-300, 36.0, 709.0, 745.0, 800.0]
+        z = np.array(edges + [-v for v in edges])
+        batch = np.random.default_rng(0).normal(size=(64, 9)) * 10
+        with np.errstate(over="raise", invalid="raise"):
+            for arr in (z, batch):
+                assert sigmoid(arr).tobytes() == sigmoid_reference(arr).tobytes()
+        assert np.signbit(z[len(edges)])  # -0.0 is really in the set
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_lstm_bit_identical_to_general_formulas(self, t):
+        rng = np.random.default_rng(t)
+        layer = LSTM(4, 3, rng=rng)
+        layer.b[...] = rng.normal(size=12) * 0.1
+        x = rng.normal(size=(6, t, 4))
+        grad = rng.normal(size=(6, 3))
+        h, dwx, dwh, db, dx = lstm_reference(layer, x, grad)
+        assert layer.forward(x).tobytes() == h.tobytes()
+        assert layer.backward(grad).tobytes() == dx.tobytes()
+        for got, want in ((layer.dwx, dwx), (layer.dwh, dwh), (layer.db, db)):
+            assert got.tobytes() == want.tobytes()
+        if t == 1:
+            assert layer.dwh.tobytes() == np.zeros_like(layer.dwh).tobytes()

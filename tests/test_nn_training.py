@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from flowbench.classifiers.nets import cnn_layers, dff_layers, rnn_layers
 from flowbench.errors import TrainingDiverged
+from flowbench.extract import autoencoder_specs
 from flowbench.nn import (
-    LayerSpec, Network, TrainConfig, build_network, fit_network, parameter_count,
-    train,
+    Adam, LayerSpec, Network, TrainConfig, bce_with_grad, build_network, fit_network,
+    parameter_count, train,
 )
 from flowbench.persist import load_model, save_model
 
@@ -98,3 +100,56 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.specs == specs
         assert parameter_count(loaded) == parameter_count(net)
+
+
+FLAT_STACKS = {
+    "dff": (dff_layers(12), 12),
+    "cnn": (cnn_layers(12), 12),
+    "rnn": (rnn_layers(6), 6),
+    "ae": (autoencoder_specs(12, 3)[0], 12),
+}
+
+
+def assert_flat_views(net):
+    assert parameter_count(net) == net.flat.size
+    assert np.concatenate([p.ravel() for p in net.params()]).tobytes() == net.flat.tobytes()
+    assert all(np.shares_memory(p, net.flat) for p in net.params())
+    assert all(np.shares_memory(g, net.flat_grad) for g in net.grads())
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("name", sorted(FLAT_STACKS))
+    def test_tensors_are_views_of_the_flat_buffers(self, name, tmp_path):
+        specs, width = FLAT_STACKS[name]
+        net = build_network(specs, width, rng=np.random.default_rng(0))
+        assert_flat_views(net)
+        path = tmp_path / "net.npz"
+        save_model(net, path)
+        loaded = load_model(path)
+        assert_flat_views(loaded)
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FLAT_STACKS))
+    def test_flat_adam_matches_per_tensor_adam(self, name):
+        """A layer that rebinds a gradient instead of writing it in place fails here."""
+        specs, width = FLAT_STACKS[name]
+        data = np.random.default_rng(1).random((40, width))
+        nets = [build_network(specs, width, rng=np.random.default_rng(2)) for _ in range(2)]
+        targets = data if nets[0].output_dim == width else (data[:, :1] > 0.5) * 1.0
+        flat, per_tensor = nets
+        runs = [
+            (flat, Adam([flat.flat], learning_rate=0.01), lambda: [flat.flat_grad]),
+            (per_tensor, Adam(per_tensor.params(), learning_rate=0.01), per_tensor.grads),
+        ]
+        for net, adam, grads in runs:
+            rng = np.random.default_rng(3)
+            for step in range(20):
+                sel = slice(step % 4 * 10, step % 4 * 10 + 10)
+                out = net.forward(data[sel], train=True, rng=rng)
+                _, dout = bce_with_grad(out, targets[sel])
+                net.backward(dout)
+                adam.step(grads())
+        assert flat.flat.tobytes() == per_tensor.flat.tobytes()
+        assert flat.flat.tobytes() != build_network(
+            specs, width, rng=np.random.default_rng(2)
+        ).flat.tobytes()

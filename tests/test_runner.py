@@ -8,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from flowbench.nn import TrainConfig
 from flowbench.runner import (
     DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
     derive_seed, load_dataset, read_manifest, run, run_summary,
@@ -62,6 +63,19 @@ class TestConfig:
             ExperimentConfig(dataset_path=str(dataset), dimensions=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_path=str(dataset), train={"momentum": 0.9})
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), "nan"])
+    def test_learning_rate_checked_at_construction(self, dataset, rate):
+        if not isinstance(rate, str):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="learning_rate"):
+            ExperimentConfig(dataset_path=str(dataset), train={"learning_rate": rate})
+
+    def test_valid_learning_rate_accepted(self, dataset):
+        assert TrainConfig(learning_rate=0.005).learning_rate == 0.005
+        cfg = ExperimentConfig(dataset_path=str(dataset), train={"learning_rate": "0.005"})
+        assert cfg.train_config(0).learning_rate == 0.005
 
     def test_file_round_trip(self, dataset, tmp_path):
         cfg = small_config(dataset, tmp_path / "out")
