@@ -9,7 +9,7 @@ import numpy as np
 from ..ingest import FeatureMatrix, model_input
 from ..nn.layers import LayerSpec
 from ..nn.network import Network, TrainConfig, train
-from ..preprocess import ClassWeights, class_weights
+from ..preprocess import class_weights
 from .bayes import GnbModel, gnb_fit, gnb_score
 from .logistic import LrModel, lr_fit, lr_score
 from .nets import cnn_layers, conv_output_lengths, dff_layers, rnn_layers
@@ -22,21 +22,12 @@ ALL_KINDS = DEEP_KINDS + SHALLOW_KINDS
 
 @dataclass
 class ClassifierSpec:
-    """One model kind plus its (defaulted) hyperparameters.
+    """One model kind; its hyperparameters are the benchmark's fixed table.
 
     Deep kinds derive their layer stack from the input width at fit time.
-    ``weight_samples`` extends inverse-frequency class weighting, which the
-    deep models always use, to the tree and logistic regression.
     """
 
     kind: str
-    dropout_per_hidden: bool = False   # dff only
-    max_depth: int | None = None       # dt only
-    C: float = 1.0                     # lr only
-    tol: float = 1e-4                  # lr only
-    max_iter: int = 100                # lr only
-    var_smoothing: float = 1e-9        # nb only
-    weight_samples: bool = False       # dt / lr opt-in
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -44,7 +35,7 @@ class ClassifierSpec:
 
     def layers(self, input_dim: int) -> list[LayerSpec]:
         if self.kind == "dff":
-            return dff_layers(input_dim, self.dropout_per_hidden)
+            return dff_layers(input_dim)
         if self.kind == "cnn":
             return cnn_layers(input_dim)
         if self.kind == "rnn":
@@ -80,17 +71,11 @@ def fit_classifier(
         net, _ = train(spec.layers(trainset.n_features), trainset, cfg)
         model: object = net
     elif spec.kind == "dt":
-        sw = None
-        if spec.weight_samples:
-            sw = class_weights(trainset.labels).per_sample(trainset.labels)
-        model = dt_fit(trainset, sample_weight=sw, max_depth=spec.max_depth)
+        model = dt_fit(trainset)
     elif spec.kind == "lr":
-        cw = class_weights(trainset.labels) if spec.weight_samples else None
-        model = lr_fit(
-            trainset, weights=cw, C=spec.C, tol=spec.tol, max_iter=spec.max_iter
-        )
+        model = lr_fit(trainset)
     else:
-        model = gnb_fit(trainset, var_smoothing=spec.var_smoothing)
+        model = gnb_fit(trainset)
     return FittedClassifier(kind=spec.kind, n_features=trainset.n_features, model=model)
 
 

@@ -19,10 +19,10 @@ class GnbModel:
     smoothing: float
 
 
-def gnb_fit(train: FeatureMatrix, var_smoothing: float = VAR_SMOOTHING) -> GnbModel:
+def gnb_fit(train: FeatureMatrix) -> GnbModel:
     """Per-class feature means/variances plus empirical priors.
 
-    The smoothing added to every variance is var_smoothing times the
+    The smoothing added to every variance is VAR_SMOOTHING times the
     largest per-feature variance of the whole training set, so degenerate
     (constant) features never produce a zero variance.
     """
@@ -30,9 +30,9 @@ def gnb_fit(train: FeatureMatrix, var_smoothing: float = VAR_SMOOTHING) -> GnbMo
     y = train.labels
     if (y == 1).all() or (y == 0).all():
         raise ValueError("naive Bayes needs both classes present")
-    smoothing = var_smoothing * float(x.var(axis=0).max())
+    smoothing = VAR_SMOOTHING * float(x.var(axis=0).max())
     if smoothing == 0.0:
-        smoothing = var_smoothing
+        smoothing = VAR_SMOOTHING
     means = np.empty((2, x.shape[1]))
     variances = np.empty((2, x.shape[1]))
     priors = np.empty(2)

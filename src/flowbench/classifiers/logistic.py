@@ -17,6 +17,11 @@ from ..ingest import FeatureMatrix, model_input
 from ..nn.layers import sigmoid
 from ..preprocess import ClassWeights
 
+C = 1.0
+TOL = 1e-4
+MAX_ITER = 100
+HISTORY = 10  # curvature pairs kept
+
 
 @dataclass
 class LrModel:
@@ -59,14 +64,7 @@ def _two_loop(grad, s_hist, y_hist):
     return -q
 
 
-def lr_fit(
-    train: FeatureMatrix,
-    weights: ClassWeights | None = None,
-    C: float = 1.0,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-    history: int = 10,
-) -> LrModel:
+def lr_fit(train: FeatureMatrix, weights: ClassWeights | None = None) -> LrModel:
     x = train.values
     y = train.labels
     if x.shape[0] == 0:
@@ -81,8 +79,8 @@ def lr_fit(
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     iterations = 0
-    for _ in range(max_iter):
-        if np.abs(g).max() <= tol:
+    for _ in range(MAX_ITER):
+        if np.abs(g).max() <= TOL:
             break
         iterations += 1
         direction = _two_loop(g, s_hist, y_hist)
@@ -107,7 +105,7 @@ def lr_fit(
         if s @ yv > 1e-10:
             s_hist.append(s)
             y_hist.append(yv)
-            if len(s_hist) > history:
+            if len(s_hist) > HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         theta, f, g = theta_new, f_new, g_new
@@ -117,7 +115,7 @@ def lr_fit(
         weights=theta[:-1].copy(),
         bias=float(theta[-1]),
         C=C,
-        converged=bool(np.abs(g).max() <= tol),
+        converged=bool(np.abs(g).max() <= TOL),
         iterations_used=iterations,
     )
 

@@ -12,23 +12,15 @@ DROPOUT_RATE = 0.2
 SMALL_INPUT_LIMIT = 10  # below this the CNN drops its hidden conv stack
 
 
-def dff_layers(input_dim: int, dropout_per_hidden: bool = False) -> list[LayerSpec]:
-    """Three 20-unit relu dense layers, dropout, single sigmoid output.
-
-    ``dropout_per_hidden`` switches to one dropout after every hidden
-    layer instead of a single one before the output.
-    """
+def dff_layers(input_dim: int) -> list[LayerSpec]:
+    """Three 20-unit relu dense layers, dropout, single sigmoid output."""
     if input_dim < 1:
         raise ValueError("input_dim must be at least 1")
-    layers = []
-    for _ in range(3):
-        layers.append(LayerSpec("dense", units=20, activation="relu"))
-        if dropout_per_hidden:
-            layers.append(LayerSpec("dropout", rate=DROPOUT_RATE))
-    if not dropout_per_hidden:
-        layers.append(LayerSpec("dropout", rate=DROPOUT_RATE))
-    layers.append(LayerSpec("dense", units=1, activation="sigmoid"))
-    return layers
+    return [
+        *(LayerSpec("dense", units=20, activation="relu") for _ in range(3)),
+        LayerSpec("dropout", rate=DROPOUT_RATE),
+        LayerSpec("dense", units=1, activation="sigmoid"),
+    ]
 
 
 def cnn_layers(input_dim: int) -> list[LayerSpec]:

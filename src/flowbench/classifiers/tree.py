@@ -91,7 +91,7 @@ def best_split(x, y, w):
     return best
 
 
-def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeModel:
+def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
     """Grow a tree to purity (or until no split reduces weighted Gini)."""
     x = train.values
     y = train.labels
@@ -100,13 +100,13 @@ def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeMode
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
 
     feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [(0, 0)]
-    stack = [(0, np.arange(x.shape[0]), 0)]
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         ys = y[idx]
         n1 = int((ys == 1).sum())
         counts[node] = (len(idx) - n1, n1)
-        if n1 == 0 or n1 == len(idx) or (max_depth is not None and depth >= max_depth):
+        if n1 == 0 or n1 == len(idx):
             continue
         found = best_split(x[idx], ys, None if w is None else w[idx])
         if found is None:
@@ -120,7 +120,7 @@ def dt_fit(train: FeatureMatrix, sample_weight=None, max_depth=None) -> TreeMode
             left.append(-1)
             right.append(-1)
             counts.append((0, 0))
-            stack.append((children[node], rows, depth + 1))
+            stack.append((children[node], rows))
     return TreeModel(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),

@@ -18,10 +18,9 @@ def _cmd_run(args) -> int:
         "seed": args.seed,
         "subsample": args.subsample,
         "output_dir": args.out,
+        "fit_global": args.fit_global or None,
     }
     config = ExperimentConfig.from_file(args.config, **overrides)
-    if args.fit_global:
-        config.fit_global = True
     records = run(config, jobs=args.jobs)
     ok = sum(1 for r in records if r["fold"] == "mean" and r["status"] == "ok")
     failed = sum(1 for r in records if r["status"] != "ok")

@@ -129,9 +129,6 @@ def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
 
     dr = np.concatenate([[0.0], cum_tp / n_pos])
     far = np.concatenate([[0.0], cum_fp / n_neg])
-    if dr[-1] != 1.0 or far[-1] != 1.0:
-        dr = np.concatenate([dr, [1.0]])
-        far = np.concatenate([far, [1.0]])
     auc = float(np.trapezoid(dr, far))
     return RocCurve(far=far, dr=dr), auc
 

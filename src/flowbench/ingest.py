@@ -239,33 +239,25 @@ class EncoderMap:
     maps: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def encode_categoricals(
-    table: RawTable, schema: DatasetSchema, emap: EncoderMap | None = None
-) -> tuple[RawTable, EncoderMap]:
+def encode_categoricals(table: RawTable, schema: DatasetSchema) -> tuple[RawTable, EncoderMap]:
     """Replace categorical strings with integer codes.
 
     Codes are assigned 0,1,2,... in lexicographic order of the category
-    strings, so identical data always yields identical maps. Pass an
-    existing map to re-apply a previous fit (unseen categories get the
-    next free code).
+    strings, so identical data always yields identical maps.
     """
-    cat_cols = [c for c in schema.categorical_columns if c in table.columns]
-    if emap is None:
-        emap = EncoderMap()
-        for col in cat_cols:
-            cats = sorted(set(table.column(table.column_index(col))))
-            emap.maps[col] = {cat: i for i, cat in enumerate(cats)}
-    # (column index, category -> code text, code text of an unseen category)
-    coders = []
-    for col in cat_cols:
-        cmap = emap.maps.get(col, {})
-        codes = {cat: str(code) for cat, code in cmap.items()}
-        coders.append((table.column_index(col), codes, str(len(cmap))))
+    emap = EncoderMap()
+    coders = []  # (column index, category -> code text)
+    for col in dict.fromkeys(schema.categorical_columns):  # a repeated name encodes once
+        if col in table.columns:
+            i = table.column_index(col)
+            cats = sorted(set(table.column(i)))
+            emap.maps[col] = {cat: code for code, cat in enumerate(cats)}
+            coders.append((i, {cat: str(code) for code, cat in enumerate(cats)}))
     rows = []
     for row in table.rows:
         cells = list(row)
-        for i, codes, unseen in coders:
-            cells[i] = codes.get(cells[i], unseen)
+        for i, codes in coders:
+            cells[i] = codes[cells[i]]
         rows.append(tuple(cells))
     return RawTable(columns=list(table.columns), rows=rows,
                     source_rows=table.source_rows), emap

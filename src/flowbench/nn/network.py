@@ -23,7 +23,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     seed: int = 0
     class_weights: ClassWeights | None = None
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -182,8 +181,7 @@ def fit_network(
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     order = np.arange(n)
     for epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            rng_shuffle.shuffle(order)
+        rng_shuffle.shuffle(order)
         epoch_loss = 0.0
         for step in range(steps_per_epoch):
             sel = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]

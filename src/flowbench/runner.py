@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, asdict
@@ -45,6 +46,18 @@ DEFAULT_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30)
 CONFIG_VERSION = 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float, string or None raises, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str
@@ -63,7 +76,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.fe_methods = tuple(self.fe_methods)
-        self.dimensions = tuple(int(d) for d in self.dimensions)
+        self.dimensions = tuple(_integer("dimensions", d) for d in self.dimensions)
+        self.folds = _integer("folds", self.folds)
+        self.seed = _integer("seed", self.seed)
+        if self.subsample is not None:
+            self.subsample = _integer("subsample", self.subsample)
+        _real("threshold", self.threshold)
         self.models = tuple(self.models)
         bad = set(self.fe_methods) - set(FE_METHODS)
         if bad:
@@ -78,6 +96,13 @@ class ExperimentConfig:
         unknown = set(self.train) - {"epochs", "batch_size", "learning_rate"}
         if unknown:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
+        self.train = dict(self.train)
+        for key in ("epochs", "batch_size"):
+            if key in self.train:
+                self.train[key] = _integer(f"train.{key}", self.train[key])
+        # a numeric string is also taken: train_config parses it
+        if not isinstance(self.train.get("learning_rate", ""), str):
+            _real("train.learning_rate", self.train["learning_rate"])
         self.train_config(0)  # TrainConfig validates the overrides
 
     @classmethod
@@ -113,8 +138,8 @@ class ExperimentConfig:
 
     def train_config(self, seed: int, class_weights=None) -> TrainConfig:
         return TrainConfig(
-            epochs=int(self.train.get("epochs", 20)),
-            batch_size=int(self.train.get("batch_size", 256)),
+            epochs=self.train.get("epochs", 20),
+            batch_size=self.train.get("batch_size", 256),
             learning_rate=float(self.train.get("learning_rate", 0.001)),
             seed=seed,
             class_weights=class_weights,

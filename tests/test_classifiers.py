@@ -5,6 +5,7 @@ from flowbench.classifiers import (
     ClassifierSpec, cnn_layers, conv_output_lengths, dff_layers, dt_fit, dt_score,
     fit_classifier, fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
 )
+from flowbench.classifiers import logistic
 from flowbench.classifiers.logistic import _loss_grad
 from flowbench.classifiers.tree import TreeModel, best_split, gini
 from flowbench.extract import (
@@ -38,10 +39,6 @@ class TestBuilders:
         assert layers[-1].activation == "sigmoid"
         rates = [s.rate for s in layers if s.kind == "dropout"]
         assert rates == [0.2]
-
-    def test_dff_per_hidden_toggle(self):
-        layers = dff_layers(12, dropout_per_hidden=True)
-        assert sum(1 for s in layers if s.kind == "dropout") == 3
 
     def test_cnn_sequence_lengths(self):
         assert conv_output_lengths(20) == [18, 9, 8, 4, 4]
@@ -278,9 +275,10 @@ class TestLogisticRegression:
             loss_origin, _ = _loss_grad(np.zeros_like(theta), fm.values, y_pm, sw, model.C)
             assert loss_fit <= loss_origin
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(logistic, "MAX_ITER", 2)
         fm = blobs(n0=40, n1=40, d=3, seed=7)
-        model = lr_fit(fm, max_iter=2)
+        model = lr_fit(fm)
         assert model.iterations_used <= 2
 
     def test_class_weights_shift_boundary(self):
@@ -394,13 +392,6 @@ class TestFitPredict:
         test = blobs(10, 10, d=4, seed=21)
         with pytest.raises(ValueError):
             fit_predict(ClassifierSpec(kind="nb"), train, test)
-
-    def test_weight_samples_flag_accepted_for_dt_and_lr(self):
-        train = blobs(n0=90, n1=10, d=2, separation=2.0, seed=23)
-        for kind in ("dt", "lr"):
-            fitted = fit_classifier(ClassifierSpec(kind=kind, weight_samples=True), train)
-            probs = fitted.predict_proba(train)
-            assert probs.shape == (train.n_samples,)
 
     def test_fitted_classifier_checkpoint(self, tmp_path):
         train = blobs(n0=40, n1=40, d=5, separation=2.0, seed=22, scale01=True)

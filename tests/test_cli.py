@@ -4,7 +4,7 @@ import json
 import pytest
 
 from flowbench.cli import main
-from flowbench.runner import CONFIG_VERSION
+from flowbench.runner import CONFIG_VERSION, ExperimentConfig, run
 
 
 @pytest.fixture()
@@ -137,3 +137,27 @@ def test_report_checks_manifest_config_version(synth_csv, tmp_path):
     with pytest.raises(ValueError, match="version") as err:
         main(["report", "--in", str(out_dir)])
     assert str(manifest) in str(err.value)
+
+
+def test_run_fit_global_flag(synth_csv, tmp_path):
+    config = {
+        "version": CONFIG_VERSION,
+        "dataset_path": str(synth_csv),
+        "schema_name": "synthetic",
+        "fe_methods": ["full", "pca"],
+        "dimensions": [2],
+        "models": ["dt", "nb"],
+        "folds": 3,
+        "seed": 3,
+        "output_dir": str(tmp_path / "cli"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--fit-global"]) == 0
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert manifest["config"]["fit_global"] is True
+
+    config.pop("version")
+    run(ExperimentConfig(**dict(config, fit_global=True, output_dir=str(tmp_path / "api"))))
+    results = (tmp_path / "cli" / "results.csv").read_bytes()
+    assert results == (tmp_path / "api" / "results.csv").read_bytes()

@@ -213,5 +213,7 @@ def test_auc_matches_rank_oracle_property(pairs):
     labels = np.array([l for _, l in pairs])
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
-    _, auc = roc_auc(scores, labels)
+    curve, auc = roc_auc(scores, labels)
     assert abs(auc - rank_statistic_auc(scores, labels)) < 1e-12
+    # the last tie group ends at the last row, so the curve ends at exactly (1, 1)
+    assert (curve.far[-1], curve.dr[-1]) == (1.0, 1.0)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,19 +150,11 @@ class TestEncodeCategoricals:
         encoded, _ = encode_categoricals(load_table(rows), TINY)
         assert {r[2] for r in encoded.rows} == {"0"}
 
-    def test_reapplying_map_is_deterministic(self):
+    def test_repeated_column_name_encodes_once(self):
         table = load_table(tiny_rows())
-        first, emap = encode_categoricals(table, TINY)
-        second, _ = encode_categoricals(table, TINY, emap=emap)
-        assert first.rows == second.rows
+        twice = replace(TINY, categorical_columns=TINY.categorical_columns * 2)
+        assert encode_categoricals(table, twice) == encode_categoricals(table, TINY)
 
-    def test_unseen_category_gets_next_code(self):
-        table = load_table(tiny_rows())
-        _, emap = encode_categoricals(table, TINY)
-        rows = [list(r) for r in tiny_rows()]
-        rows[0][2] = "sctp"
-        encoded, _ = encode_categoricals(load_table(rows), TINY, emap=emap)
-        assert encoded.rows[0][2] == "3"
 
 
 class TestCleanValues:

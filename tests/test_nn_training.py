@@ -68,7 +68,7 @@ class TestTrain:
         x[3, 0] = np.nan
         y = np.tile([0.0, 1.0], 10)[:, None]
         with pytest.raises(TrainingDiverged) as err:
-            fit_network(net, x, y, TrainConfig(epochs=2, batch_size=20, shuffle=False))
+            fit_network(net, x, y, TrainConfig(epochs=2, batch_size=20))
         assert err.value.epoch == 0
         assert err.value.batch == 0
 

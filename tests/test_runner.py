@@ -77,6 +77,30 @@ class TestConfig:
         cfg = ExperimentConfig(dataset_path=str(dataset), train={"learning_rate": "0.005"})
         assert cfg.train_config(0).learning_rate == 0.005
 
+    @pytest.mark.parametrize("name, over", [
+        ("train.epochs", {"train": {"epochs": 2.7}}),
+        ("train.batch_size", {"train": {"batch_size": True}}),
+        ("dimensions", {"dimensions": [2.7]}),
+        ("folds", {"folds": 2.5}),
+        ("subsample", {"subsample": 2.5}),
+        ("seed", {"seed": 1.5}),
+        ("threshold", {"threshold": "0.5"}),
+        ("train.epochs", {"train": {"epochs": None}}),
+        ("train.learning_rate", {"train": {"learning_rate": [1]}}),
+        ("folds", {"folds": "5"}),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
+    def test_badly_typed_value_names_field(self, dataset, name, over):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentConfig(dataset_path=str(dataset), **over)
+
+    def test_numpy_integers_accepted(self, dataset):
+        cfg = ExperimentConfig(dataset_path=str(dataset), folds=np.int64(3), seed=np.int32(4),
+                               dimensions=[np.int64(2)], train={"epochs": np.int64(2)})
+        assert (cfg.folds, cfg.seed, cfg.dimensions) == (3, 4, (2,))
+        assert cfg.train_config(0).epochs == 2
+        assert type(cfg.folds) is int and type(cfg.train["epochs"]) is int
+        cfg.digest()  # the config serialises to JSON
+
     def test_file_round_trip(self, dataset, tmp_path):
         cfg = small_config(dataset, tmp_path / "out")
         path = tmp_path / "cfg.json"
