@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,10 @@ class FittedClassifier:
 def fit_classifier(
     spec: ClassifierSpec, trainset: FeatureMatrix, cfg: TrainConfig | None = None
 ) -> FittedClassifier:
-    """Fit one model; deep kinds consume inverse-frequency class weights."""
-    cfg = cfg or TrainConfig()
+    """Fit one model; deep kinds weight each row by its class's inverse frequency."""
     if spec.kind in DEEP_KINDS:
-        if cfg.class_weights is None:
-            cfg = replace(cfg, class_weights=class_weights(trainset.labels))
-        net, _ = train(spec.layers(trainset.n_features), trainset, cfg)
+        weights = class_weights(trainset.labels).per_sample(trainset.labels)
+        net, _ = train(spec.layers(trainset.n_features), trainset, cfg or TrainConfig(), weights)
         model: object = net
     elif spec.kind == "dt":
         model = dt_fit(trainset)

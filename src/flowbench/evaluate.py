@@ -59,10 +59,8 @@ class EvalReport:
     far: float
     f1: float
     auc: float
-    roc: RocCurve | None = None
     per_attack: dict | None = None
     degenerate: bool = False
-    n_folds: int = 1
 
 
 def confusion(probabilities, labels, threshold: float = 0.5) -> ConfusionCounts:
@@ -160,29 +158,15 @@ def evaluate(
     """Assemble a full report for one scored test set."""
     counts = confusion(probabilities, labels, threshold)
     ms = metrics(counts)
-    roc, auc = roc_auc(probabilities, labels)
+    _, auc = roc_auc(probabilities, labels)
     attacks = None
     if attack_types is not None:
         attacks = per_attack_dr(probabilities, labels, attack_types, threshold)
     return EvalReport(
         counts=counts, acc=ms.acc, precision=ms.precision, dr=ms.dr,
-        far=ms.far, f1=ms.f1, auc=auc, roc=roc, per_attack=attacks,
+        far=ms.far, f1=ms.f1, auc=auc, per_attack=attacks,
         degenerate=ms.degenerate,
     )
-
-
-def merge_per_attack(tables: list[dict]) -> dict:
-    """Pool per-attack counts across folds; DR recomputed from the sums."""
-    actual: dict[str, int] = {}
-    hit: dict[str, int] = {}
-    for table in tables:
-        for name, (a, h, _) in table.items():
-            actual[name] = actual.get(name, 0) + a
-            hit[name] = hit.get(name, 0) + h
-    return {
-        name: (actual[name], hit[name], hit[name] / actual[name] if actual[name] else 0.0)
-        for name in sorted(actual)
-    }
 
 
 def aggregate_folds(reports: list[EvalReport]) -> EvalReport:
@@ -196,10 +180,6 @@ def aggregate_folds(reports: list[EvalReport]) -> EvalReport:
         fn=sum(r.counts.fn for r in reports),
     )
     k = len(reports)
-    per_attack = None
-    tables = [r.per_attack for r in reports if r.per_attack is not None]
-    if tables:
-        per_attack = merge_per_attack(tables)
     return EvalReport(
         counts=counts,
         acc=sum(r.acc for r in reports) / k,
@@ -208,8 +188,5 @@ def aggregate_folds(reports: list[EvalReport]) -> EvalReport:
         far=sum(r.far for r in reports) / k,
         f1=sum(r.f1 for r in reports) / k,
         auc=sum(r.auc for r in reports) / k,
-        roc=None,
-        per_attack=per_attack,
         degenerate=any(r.degenerate for r in reports),
-        n_folds=k,
     )

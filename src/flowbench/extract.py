@@ -12,7 +12,9 @@ import numpy as np
 
 from .ingest import FeatureMatrix, model_input, write_csv
 from .nn.layers import LayerSpec
-from .nn.network import Network, TrainConfig, TrainHistory, build_network, fit_network
+from .nn.network import (
+    Network, TrainConfig, TrainHistory, build_network, fit_network, seed_streams,
+)
 
 
 def _values(m) -> np.ndarray:
@@ -193,12 +195,8 @@ def ae_fit(train, k: int, cfg: TrainConfig) -> AeModel:
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
         raise ValueError("autoencoder input must be min-max scaled into [0, 1]")
     specs, n_enc = autoencoder_specs(x.shape[1], k)
-    ss = np.random.SeedSequence(cfg.seed)
-    r_init, r_shuffle, r_dropout = (np.random.default_rng(s) for s in ss.spawn(3))
-    net = build_network(specs, x.shape[1], rng=r_init)
-    history = fit_network(
-        net, x, x, cfg, rng_shuffle=r_shuffle, rng_dropout=r_dropout
-    )
+    net = build_network(specs, x.shape[1], rng=seed_streams(cfg.seed)[0])
+    history = fit_network(net, x, x, cfg)
     return AeModel(
         network=net,
         n_encoder_layers=n_enc,

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TrainingDiverged
-from ..preprocess import ClassWeights
 from .layers import (
     AvgPool1D, Conv1D, Dense, Dropout, Flatten, LSTM, Layer, SeqFromVec,
 )
@@ -22,7 +21,6 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 0.001
     seed: int = 0
-    class_weights: ClassWeights | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -157,16 +155,18 @@ def parameter_count(net: Network) -> int:
     return net.flat.size
 
 
+def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """The (init, shuffle, dropout) generators of one training seed."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+
+
 def fit_network(
-    net: Network,
-    x: np.ndarray,
-    targets: np.ndarray,
-    cfg: TrainConfig,
-    sample_weight=None,
-    rng_shuffle=None,
-    rng_dropout=None,
+    net: Network, x: np.ndarray, targets: np.ndarray, cfg: TrainConfig, sample_weight=None,
 ) -> TrainHistory:
-    """Mini-batch Adam on BCE; aborts on the first non-finite loss."""
+    """Mini-batch Adam on BCE; aborts on the first non-finite loss.
+
+    Batches are shuffled and dropout masks drawn from cfg.seed's streams.
+    """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -174,8 +174,7 @@ def fit_network(
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty matrix")
-    rng_shuffle = rng_shuffle or np.random.default_rng(cfg.seed)
-    rng_dropout = rng_dropout or np.random.default_rng(cfg.seed + 1)
+    _, rng_shuffle, rng_dropout = seed_streams(cfg.seed)
     adam = Adam([net.flat], learning_rate=cfg.learning_rate)
     history = TrainHistory()
     steps_per_epoch = math.ceil(n / cfg.batch_size)
@@ -198,27 +197,20 @@ def fit_network(
     return history
 
 
-def train(specs, data, cfg: TrainConfig) -> tuple[Network, TrainHistory]:
+def train(specs, data, cfg: TrainConfig, sample_weight=None) -> tuple[Network, TrainHistory]:
     """Train a single-probability classifier network on a FeatureMatrix.
 
     Weight init, batch shuffling and dropout masks all derive from
     cfg.seed, so identical inputs give bit-identical parameters.
+    ``sample_weight`` scales each row's loss.
     """
     labels = np.asarray(data.labels)
     if labels.size == 0:
         raise ValueError("cannot train on an empty matrix")
     if len(np.unique(labels)) < 2:
         raise ValueError("training data must contain both classes")
-    ss = np.random.SeedSequence(cfg.seed)
-    r_init, r_shuffle, r_dropout = (np.random.default_rng(s) for s in ss.spawn(3))
-    net = build_network(specs, data.n_features, rng=r_init)
+    net = build_network(specs, data.n_features, rng=seed_streams(cfg.seed)[0])
     if net.output_dim != 1:
         raise ValueError("classifier network must end in a single output unit")
-    sw = None
-    if cfg.class_weights is not None:
-        sw = cfg.class_weights.per_sample(labels)
-    history = fit_network(
-        net, data.values, labels.astype(np.float64), cfg,
-        sample_weight=sw, rng_shuffle=r_shuffle, rng_dropout=r_dropout,
-    )
+    history = fit_network(net, data.values, labels.astype(np.float64), cfg, sample_weight)
     return net, history

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
-from .evaluate import RocCurve, aggregate_folds, evaluate, roc_auc
+from .evaluate import RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
 from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, variance_report,
@@ -56,6 +56,17 @@ def _integer(name: str, value) -> int:
 def _real(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _learning_rate(value) -> float:
+    """``train.learning_rate`` as a float; a numeric string is also taken."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"train.learning_rate must be a number, got {value!r}") from None
+    _real("train.learning_rate", value)
+    return float(value)
 
 
 @dataclass
@@ -100,9 +111,8 @@ class ExperimentConfig:
         for key in ("epochs", "batch_size"):
             if key in self.train:
                 self.train[key] = _integer(f"train.{key}", self.train[key])
-        # a numeric string is also taken: train_config parses it
-        if not isinstance(self.train.get("learning_rate", ""), str):
-            _real("train.learning_rate", self.train["learning_rate"])
+        if "learning_rate" in self.train:
+            self.train["learning_rate"] = _learning_rate(self.train["learning_rate"])
         self.train_config(0)  # TrainConfig validates the overrides
 
     @classmethod
@@ -136,14 +146,8 @@ class ExperimentConfig:
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()
 
-    def train_config(self, seed: int, class_weights=None) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.train.get("epochs", 20),
-            batch_size=self.train.get("batch_size", 256),
-            learning_rate=float(self.train.get("learning_rate", 0.001)),
-            seed=seed,
-            class_weights=class_weights,
-        )
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(seed=seed, **self.train)
 
 
 @dataclass
@@ -284,7 +288,8 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
     the group's models within each fold.
     """
     out = {
-        model: {"reports": [], "probs": [], "labels": [], "wall": 0.0, "error": None}
+        model: {"reports": [], "probs": [], "labels": [], "attack_types": [],
+                "wall": 0.0, "error": None}
         for model in pending_models
     }
     group_error = None
@@ -315,9 +320,7 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
                 spec = ClassifierSpec(kind=model)
                 fitted = fit_classifier(spec, train_z, config.train_config(seed))
                 probs = fitted.predict_proba(test_z)
-                report = evaluate(
-                    probs, test_z.labels, test_z.attack_types, config.threshold
-                )
+                report = evaluate(probs, test_z.labels, threshold=config.threshold)
             except Exception as exc:
                 log.warning("cell %s:%s:%s fold=%d failed: %s", fe, dims, model, fold, exc)
                 cell["error"] = f"{type(exc).__name__}: {exc}"
@@ -326,6 +329,7 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             cell["reports"].append(report)
             cell["probs"].append(probs)
             cell["labels"].append(test_z.labels)
+            cell["attack_types"].append(test_z.attack_types)
     if group_error is not None:
         for cell in out.values():
             if cell["error"] is None:
@@ -333,9 +337,14 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
     return out
 
 
-def _cell_payload(dataset, fe, dims, model, k, cell) -> tuple[dict, RocCurve | None]:
-    """Manifest entry for one finished cell, and its pooled ROC curve if it succeeded."""
-    if cell["error"] is not None or len(cell["reports"]) != k:
+def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig,
+                  cell) -> tuple[dict, RocCurve | None]:
+    """Manifest entry for one finished cell, and its pooled ROC curve if it succeeded.
+
+    The ROC curve and the per-attack table are computed once, on the
+    cell's pooled out-of-fold predictions: each row is tested exactly once.
+    """
+    if cell["error"] is not None or len(cell["reports"]) != config.folds:
         err = cell["error"] or "incomplete fold set"
         rec = ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims,
                            fold="mean", status="failed", error=err)
@@ -351,51 +360,43 @@ def _cell_payload(dataset, fe, dims, model, k, cell) -> tuple[dict, RocCurve | N
     pooled_probs = np.concatenate(cell["probs"])
     pooled_labels = np.concatenate(cell["labels"])
     curve, pooled_auc = roc_auc(pooled_probs, pooled_labels)
+    per_attack = None
+    if cell["attack_types"][0] is not None:  # the schema has an attack-type column
+        table = per_attack_dr(pooled_probs, pooled_labels,
+                              np.concatenate(cell["attack_types"]), config.threshold)
+        per_attack = {name: list(v) for name, v in table.items()}
     records.append(asdict(ResultRecord(
         dataset=dataset, model=model, fe=fe, dims=dims, fold="mean",
         acc=mean.acc, f1=mean.f1, dr=mean.dr, far=mean.far,
         precision=mean.precision, auc=mean.auc, auc_pooled=pooled_auc,
     )))
-    per_attack = None
-    if mean.per_attack is not None:
-        per_attack = {name: list(v) for name, v in mean.per_attack.items()}
     return {"records": records, "per_attack": per_attack, "wall_time": cell["wall"]}, curve
 
 
-class _RunState:
-    """Manifest-backed store of completed cells."""
+def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
+    """The completed cells of the manifest at ``path`` if it was written for ``config``."""
+    if not path.exists():
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("config_digest") != config.digest():
+        log.warning("manifest does not match this config; starting fresh")
+        return {}
+    log.info("resuming: %d cell(s) already complete", len(doc["completed"]))
+    return doc["completed"]
 
-    def __init__(self, out_dir: Path, config: ExperimentConfig):
-        self.out_dir = out_dir
-        self.config = config
-        self.path = out_dir / "manifest.json"
-        self.completed: dict[str, dict] = {}
-        if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if doc.get("config_digest") == config.digest():
-                self.completed = doc["completed"]
-                log.info("resuming: %d cell(s) already complete", len(self.completed))
-            else:
-                log.warning("manifest does not match this config; starting fresh")
 
-    def has(self, cell_id: str) -> bool:
-        return cell_id in self.completed
-
-    def add(self, cell_id: str, payload: dict) -> None:
-        self.completed[cell_id] = payload
-
-    def flush(self) -> None:
-        doc = {
-            "version": CONFIG_VERSION,
-            "config_digest": self.config.digest(),
-            "config": self.config.to_dict(),
-            "completed": self.completed,
-        }
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc))  # json.dump never uses the C encoder
-        tmp.replace(self.path)
+def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict) -> None:
+    doc = {
+        "version": CONFIG_VERSION,
+        "config_digest": config.digest(),
+        "config": config.to_dict(),
+        "completed": completed,
+    }
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))  # json.dump never uses the C encoder
+    tmp.replace(path)
 
 
 def write_results_csv(records: list[dict], path) -> None:
@@ -459,20 +460,21 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     pca = _full_pca(scaled) if min(fm.n_features, fm.n_samples - 1) >= 1 else None
     _write_variance_reports(scaled, pca, out_dir, dataset)
     plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
-    state = _RunState(out_dir, config)
+    manifest = out_dir / "manifest.json"
+    completed = _load_completed(manifest, config)
 
     def finish_group(fe, dims, results):
         for model, cell in results.items():
-            payload, curve = _cell_payload(dataset, fe, dims, model, config.folds, cell)
+            payload, curve = _cell_payload(dataset, fe, dims, model, config, cell)
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
-            state.add(f"{fe}:{dims}:{model}", payload)
-        state.flush()
-        write_results_csv(_ordered_records(config, state.completed), out_dir / "results.csv")
+            completed[f"{fe}:{dims}:{model}"] = payload
+        _flush_manifest(manifest, config, completed)
+        write_results_csv(_ordered_records(config, completed), out_dir / "results.csv")
 
     todo = []
     for fe, dims in _group_plan(config, fm.n_features):
-        pending = [m for m in config.models if not state.has(f"{fe}:{dims}:{m}")]
+        pending = [m for m in config.models if f"{fe}:{dims}:{m}" not in completed]
         if pending:
             todo.append((fe, dims, pending))
     with_pca = any(fe == "pca" for fe, _, _ in todo)
@@ -491,7 +493,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             log.info("group fe=%s dims=%s: %d model(s)", fe, dims, len(pending))
             finish_group(fe, dims, run_group(fe, dims, config, fm, fold_fits, pending))
 
-    records, summary = run_summary(config, state.completed)
+    records, summary = run_summary(config, completed)
     write_results_csv(records, out_dir / "results.csv")
     emit_plots(records, out_dir)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")

@@ -143,7 +143,7 @@ def schema_from_file(path) -> DatasetSchema:
             raw[key] = tuple(raw[key])
     try:
         return DatasetSchema(**raw)
-    except TypeError as exc:
+    except (TypeError, SchemaError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 

@@ -226,6 +226,12 @@ class TestDecisionTree:
         probs = dt_score(tree, fm)
         assert probs[0] == 0.0 and probs[1] == 1.0
 
+    def test_narrow_data_rejected(self):
+        tree = tree_model([2, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                          [(1, 1), (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="tree expects at least 3 features, data has 2"):
+            dt_score(tree, np.zeros((4, 2)))
+
     def test_monotone_feature_transform_keeps_predictions(self):
         fm = blobs(n0=50, n1=50, d=3, separation=2.0, seed=4)
         transformed = FeatureMatrix(

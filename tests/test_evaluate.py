@@ -155,6 +155,12 @@ class TestPerAttackDr:
             assert actual == n_per
             assert abs(dr - rate) < 3 * sigma + 1e-9
 
+    def test_two_folds_pooled(self):
+        # the out-of-fold predictions of two folds, concatenated
+        table = per_attack_dr([0.9, 0.1] + [0.2, 0.8, 0.3], [1, 0] + [1, 1, 0],
+                              ["dos", "benign"] + ["dos", "dos", "benign"])
+        assert table == {"dos": (3, 2, 2 / 3)}
+
     def test_alignment_mismatch(self):
         with pytest.raises(ValueError):
             per_attack_dr([0.5], [1, 1], ["a", "b"], 0.5)
@@ -188,12 +194,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_folds([])
-
-    def test_per_attack_pooled(self):
-        a = evaluate([0.9, 0.1], [1, 0], ["dos", "benign"])
-        b = evaluate([0.2, 0.8, 0.3], [1, 1, 0], ["dos", "dos", "benign"])
-        agg = aggregate_folds([a, b])
-        assert agg.per_attack["dos"] == (3, 2, 2 / 3)
 
     def test_single_report_metrics_recomputable_from_counts(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,6 @@
 import csv
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,12 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv", TINY)
+
+    def test_empty_file_named(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: file is empty"):
+            load_csv(path, TINY)
 
     def test_ragged_row_reports_index(self, tmp_path):
         rows = tiny_rows()
@@ -424,6 +432,19 @@ class TestFullPipeline:
         schema_to_file(TINY, path)
         loaded = schema_from_file(path)
         assert loaded == TINY
+
+    @pytest.mark.parametrize("doc, message", [
+        (["label"], "must hold a JSON object"),
+        ({"name": "x", "label": "y"}, r"unknown schema keys \['label'\]"),
+        ({"label_column": "y"}, "name"),
+        ({"name": "x", "categorical_columns": ["proto"], "boolean_columns": ["proto"]},
+         r"\['proto'\] appear in both categorical_columns and boolean_columns"),
+    ], ids=["list", "unknown-key", "missing-name", "two-roles"])
+    def test_bad_schema_file_names_file(self, tmp_path, doc, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*{message}"):
+            schema_from_file(path)
 
     def test_builtin_schemas_by_name(self):
         for name in ("unsw-nb15", "ton-iot", "cse-cic-ids2018", "synthetic"):

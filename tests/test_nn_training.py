@@ -5,7 +5,7 @@ import pytest
 
 from flowbench.classifiers.nets import cnn_layers, dff_layers, rnn_layers
 from flowbench.errors import TrainingDiverged
-from flowbench.extract import autoencoder_specs
+from flowbench.extract import ae_fit, autoencoder_specs
 from flowbench.nn import (
     Adam, LayerSpec, Network, TrainConfig, bce_with_grad, build_network, fit_network,
     parameter_count, train,
@@ -71,6 +71,46 @@ class TestTrain:
             fit_network(net, x, y, TrainConfig(epochs=2, batch_size=20))
         assert err.value.epoch == 0
         assert err.value.batch == 0
+
+
+def hand_run(specs, x, targets, cfg, sample_weight=None):
+    """The training loop written out on the SeedSequence(seed).spawn(3) streams."""
+    r_init, r_shuffle, r_dropout = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    net = build_network(specs, x.shape[1], rng=r_init)
+    adam = Adam([net.flat], learning_rate=cfg.learning_rate)
+    order = np.arange(x.shape[0])
+    for _ in range(cfg.epochs):
+        r_shuffle.shuffle(order)
+        for start in range(0, x.shape[0], cfg.batch_size):
+            sel = order[start:start + cfg.batch_size]
+            out = net.forward(x[sel], train=True, rng=r_dropout)
+            sw = None if sample_weight is None else sample_weight[sel]
+            _, dout = bce_with_grad(out, targets[sel], sw)
+            net.backward(dout)
+            adam.step([net.flat_grad])
+    return net
+
+
+class TestSeedStreams:
+    """Init, shuffle and dropout draw from the three children of SeedSequence(seed)."""
+
+    def test_train_matches_hand_run(self):
+        data = blobs(n0=30, n1=20, d=3, seed=6, scale01=True)
+        specs = [SMALL_DFF[0], LayerSpec("dropout", rate=0.3), SMALL_DFF[1]]
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=21)
+        weights = np.where(data.labels == 1, 1.25, 0.75)
+        net, _ = train(specs, data, cfg, weights)
+        want = hand_run(specs, data.values, data.labels.astype(np.float64)[:, None], cfg, weights)
+        assert net.flat.tobytes() == want.flat.tobytes()
+
+    def test_ae_fit_matches_hand_run(self):
+        x = blobs(n0=20, n1=20, d=5, seed=7, scale01=True).values
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=22)
+        model = ae_fit(x, 2, cfg)
+        want = hand_run(autoencoder_specs(5, 2)[0], x, x, cfg)
+        assert model.network.flat.tobytes() == want.flat.tobytes()
 
 
 class TestCheckpoint:

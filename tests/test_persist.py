@@ -7,6 +7,7 @@ import pytest
 from flowbench.classifiers import dt_fit, dt_score, gnb_fit, lr_fit
 from flowbench.extract import lda_fit, pca_fit
 from flowbench.ingest import FeatureMatrix
+from flowbench.nn import LayerSpec
 from flowbench.persist import load_model, save_model
 
 from helpers import blobs
@@ -104,9 +105,15 @@ def _npz_without_meta(path):
         np.savez(fh, weights=np.arange(4.0))
 
 
-def _meta(path, **meta):
+def _meta(path, arrays=None, **meta):
     with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta)))
+        np.savez(fh, meta=np.array(json.dumps(meta)), **(arrays or {}))
+
+
+def _dense_net(path, arrays):
+    """A one-layer network checkpoint, 3 inputs to 1 output, holding ``arrays``."""
+    spec = LayerSpec("dense", units=1, activation="sigmoid").to_dict()
+    _meta(path, arrays, version=2, type="Network", specs=[spec], input_dim=3)
 
 
 @pytest.mark.parametrize("write", [
@@ -117,8 +124,10 @@ def _meta(path, **meta):
     lambda path: _meta(path, version=2, type="Pipeline"),
     lambda path: _meta(path, version=1, type="TreeModel"),
     lambda path: _meta(path, version=3, type="LrModel"),
+    lambda path: _dense_net(path, {"0": np.zeros((3, 1))}),
+    lambda path: _dense_net(path, {"0": np.zeros((2, 1)), "1": np.zeros(1)}),
 ], ids=["v1-json", "plain-text", "bare-npy", "npz-without-meta", "unknown-type",
-        "version-1", "version-3"])
+        "version-1", "version-3", "tensor-count", "tensor-shape"])
 def test_foreign_checkpoint_rejected(tmp_path, write):
     path = tmp_path / "model.npz"
     write(path)

@@ -87,6 +87,7 @@ class TestConfig:
         ("threshold", {"threshold": "0.5"}),
         ("train.epochs", {"train": {"epochs": None}}),
         ("train.learning_rate", {"train": {"learning_rate": [1]}}),
+        ("train.learning_rate", {"train": {"learning_rate": "abc"}}),
         ("folds", {"folds": "5"}),
     ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
     def test_badly_typed_value_names_field(self, dataset, name, over):
@@ -250,6 +251,23 @@ class TestRun:
         for kind in ("dos", "scan", "worm"):
             assert kind in text
 
+    def test_per_attack_counts_every_attack_row_once(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        config = small_config(dataset, out)
+        run(config)
+        fm = load_dataset(config)
+        names, counts = np.unique(fm.attack_types[fm.labels == 1].astype(str),
+                                  return_counts=True)
+        attack_rows = dict(zip(names.tolist(), counts.tolist()))
+        _, completed = read_manifest(out)
+        ok = [cell for cell in completed.values() if cell["records"][-1]["status"] == "ok"]
+        assert len(ok) == 8
+        for cell in ok:
+            table = cell["per_attack"]
+            assert {name: actual for name, (actual, _, _) in table.items()} == attack_rows
+            for actual, detected, dr in table.values():
+                assert dr == detected / actual
+
     def test_subsample_cap(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "out", subsample=120)
         fm = load_dataset(config)
@@ -310,6 +328,36 @@ class TestSharedFits:
                 assert r["error"] == "ValueError: SVD did not converge"
             else:
                 assert r["status"] == "ok"
+
+
+def test_classifier_failure_stays_in_its_cell(dataset, tmp_path, monkeypatch):
+    """A model that raises on one fold fails its own cells and no other."""
+    import flowbench.runner as runner_mod
+
+    clean = run(small_config(dataset, tmp_path / "clean"))
+    config = small_config(dataset, tmp_path / "out")
+    groups = {(r["fe"], r["dims"]) for r in clean}
+    fold_1 = {derive_seed(config.seed, fe, dims, "nb", 1) for fe, dims in groups}
+    nb_fits = []
+    real = runner_mod.fit_classifier
+
+    def failing_nb(spec, train, cfg):
+        if spec.kind == "nb":
+            nb_fits.append(cfg.seed)
+            if cfg.seed in fold_1:
+                raise RuntimeError("nb fold 1 failed")
+        return real(spec, train, cfg)
+
+    monkeypatch.setattr(runner_mod, "fit_classifier", failing_nb)
+    records = run(config)
+    assert len(nb_fits) == 2 * len(groups)  # no fit after the failed fold
+    nb = [r for r in records if r["model"] == "nb"]
+    assert len(nb) == len(groups)
+    for r in nb:
+        assert (r["fold"], r["status"], r["error"]) == (
+            "mean", "failed", "RuntimeError: nb fold 1 failed")
+    assert [r for r in records if r["model"] == "dt"] == [
+        r for r in clean if r["model"] == "dt"]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
