@@ -10,7 +10,7 @@ from pathlib import Path
 
 from flowbench import (
     ClassifierSpec, TrainConfig, apply_scaler, evaluate, fit_predict, fit_scaler,
-    load_feature_matrix, stratified_split,
+    load_feature_matrix, per_attack_dr, stratified_split,
 )
 from flowbench.synth import SynthSpec, schema_for, synth_generate
 
@@ -32,11 +32,11 @@ print(f"\n{'model':<6} {'ACC':>8} {'F1':>6} {'DR':>8} {'FAR':>8} {'AUC':>8}")
 print("-" * 48)
 for kind in ("dff", "cnn", "rnn", "dt", "lr", "nb"):
     probs = fit_predict(ClassifierSpec(kind=kind), train_s, test_s, cfg)
-    r = evaluate(probs, test_s.labels, test_s.attack_types)
+    r = evaluate(probs, test_s.labels)
     print(f"{kind:<6} {r.acc:>7.2%} {r.f1:>6.2f} {r.dr:>7.2%} {r.far:>7.2%} {r.auc:>8.4f}")
 
 probs = fit_predict(ClassifierSpec(kind="dt"), train_s, test_s, cfg)
-r = evaluate(probs, test_s.labels, test_s.attack_types)
+table = per_attack_dr(probs, test_s.labels, test_s.attack_types)
 print("\nper-attack detection rates (decision tree):")
-for name, (actual, detected, dr) in r.per_attack.items():
+for name, (actual, detected, dr) in table.items():
     print(f"  {name:<8} {detected:>4}/{actual:<4} -> {dr:.2%}")

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..ingest import FeatureMatrix, model_input
 from ..nn.layers import sigmoid
-from ..preprocess import ClassWeights
 
 C = 1.0
 TOL = 1e-4
@@ -64,13 +63,13 @@ def _two_loop(grad, s_hist, y_hist):
     return -q
 
 
-def lr_fit(train: FeatureMatrix, weights: ClassWeights | None = None) -> LrModel:
+def lr_fit(train: FeatureMatrix, sample_weight=None) -> LrModel:
+    """Fit on ``train``; ``sample_weight`` is the per-row om_i (1 when absent)."""
     x = train.values
-    y = train.labels
     if x.shape[0] == 0:
         raise ValueError("cannot fit on an empty matrix")
-    y_pm = 2.0 * y - 1.0
-    sw = np.ones(x.shape[0]) if weights is None else weights.per_sample(y)
+    y_pm = 2.0 * train.labels - 1.0
+    sw = np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, float)
 
     theta = np.zeros(x.shape[1] + 1)
     f, g = _loss_grad(theta, x, y_pm, sw, C)

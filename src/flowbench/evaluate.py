@@ -50,7 +50,7 @@ class RocCurve:
 
 @dataclass
 class EvalReport:
-    """One evaluation: counts, metric values, AUC and optional DR breakdown."""
+    """One evaluation: counts, metric values and AUC."""
 
     counts: ConfusionCounts
     acc: float
@@ -59,7 +59,6 @@ class EvalReport:
     far: float
     f1: float
     auc: float
-    per_attack: dict | None = None
     degenerate: bool = False
 
 
@@ -152,20 +151,14 @@ def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -
     return out
 
 
-def evaluate(
-    probabilities, labels, attack_types=None, threshold: float = 0.5
-) -> EvalReport:
+def evaluate(probabilities, labels, threshold: float = 0.5) -> EvalReport:
     """Assemble a full report for one scored test set."""
     counts = confusion(probabilities, labels, threshold)
     ms = metrics(counts)
     _, auc = roc_auc(probabilities, labels)
-    attacks = None
-    if attack_types is not None:
-        attacks = per_attack_dr(probabilities, labels, attack_types, threshold)
     return EvalReport(
         counts=counts, acc=ms.acc, precision=ms.precision, dr=ms.dr,
-        far=ms.far, f1=ms.f1, auc=auc, per_attack=attacks,
-        degenerate=ms.degenerate,
+        far=ms.far, f1=ms.f1, auc=auc, degenerate=ms.degenerate,
     )
 
 

@@ -39,9 +39,7 @@ def bce_with_grad(probs, targets, sample_weight=None):
     return loss, dp
 
 
-def bce_loss(probabilities, labels, weights=None) -> float:
+def bce_loss(probabilities, labels, sample_weight=None) -> float:
     """Scalar weighted BCE for a vector of probabilities and binary labels."""
-    y = np.asarray(labels)
-    sw = None if weights is None else weights.per_sample(y)
-    loss, _ = bce_with_grad(np.asarray(probabilities, dtype=np.float64), y, sw)
+    loss, _ = bce_with_grad(probabilities, labels, sample_weight)
     return loss

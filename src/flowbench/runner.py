@@ -21,7 +21,7 @@ import logging
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +86,12 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("fe_methods", "dimensions", "models"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            if name != "dimensions" and len(set(value)) < len(value):  # cells would run twice
+                raise ValueError(f"{name} must be a list without repeats, got {value!r}")
         self.fe_methods = tuple(self.fe_methods)
         self.dimensions = tuple(_integer("dimensions", d) for d in self.dimensions)
         self.folds = _integer("folds", self.folds)
@@ -104,6 +110,8 @@ class ExperimentConfig:
             raise ValueError("dimensions must all be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+        if not isinstance(self.train, dict):
+            raise ValueError(f"train must be an object, got {self.train!r}")
         unknown = set(self.train) - {"epochs", "batch_size", "learning_rate"}
         if unknown:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
@@ -168,10 +176,8 @@ class ResultRecord:
     error: str | None = None
 
 
-RESULT_COLUMNS = (
-    "dataset", "model", "fe", "dims", "fold",
-    "acc", "f1", "dr", "far", "precision", "auc", "auc_pooled", "status",
-)
+# a failed cell's error text goes to manifest.json and summary.txt only
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRecord) if f.name != "error")
 SWEEP_COLUMNS = ("fe", "dims", "auc")
 BEST_COLUMNS = ("dataset", "model", "fe", "dims", "acc", "f1", "dr", "far", "auc")
 
@@ -287,11 +293,8 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
     Returns {model: cell_result_dict}; the fitted extractor is shared by
     the group's models within each fold.
     """
-    out = {
-        model: {"reports": [], "probs": [], "labels": [], "attack_types": [],
-                "wall": 0.0, "error": None}
-        for model in pending_models
-    }
+    out = {model: {"reports": [], "probs": [], "wall": 0.0, "error": None}
+           for model in pending_models}
     group_error = None
     for fold, fit in enumerate(fold_fits):
         try:
@@ -328,8 +331,6 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             cell["wall"] += time.perf_counter() - started
             cell["reports"].append(report)
             cell["probs"].append(probs)
-            cell["labels"].append(test_z.labels)
-            cell["attack_types"].append(test_z.attack_types)
     if group_error is not None:
         for cell in out.values():
             if cell["error"] is None:
@@ -337,12 +338,13 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
     return out
 
 
-def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig,
-                  cell) -> tuple[dict, RocCurve | None]:
+def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig, cell,
+                  pooled_labels, pooled_types) -> tuple[dict, RocCurve | None]:
     """Manifest entry for one finished cell, and its pooled ROC curve if it succeeded.
 
     The ROC curve and the per-attack table are computed once, on the
     cell's pooled out-of-fold predictions: each row is tested exactly once.
+    ``pooled_types`` is None when the schema has no attack-type column.
     """
     if cell["error"] is not None or len(cell["reports"]) != config.folds:
         err = cell["error"] or "incomplete fold set"
@@ -358,12 +360,10 @@ def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig,
         )))
     mean = aggregate_folds(cell["reports"])
     pooled_probs = np.concatenate(cell["probs"])
-    pooled_labels = np.concatenate(cell["labels"])
     curve, pooled_auc = roc_auc(pooled_probs, pooled_labels)
     per_attack = None
-    if cell["attack_types"][0] is not None:  # the schema has an attack-type column
-        table = per_attack_dr(pooled_probs, pooled_labels,
-                              np.concatenate(cell["attack_types"]), config.threshold)
+    if pooled_types is not None:
+        table = per_attack_dr(pooled_probs, pooled_labels, pooled_types, config.threshold)
         per_attack = {name: list(v) for name, v in table.items()}
     records.append(asdict(ResultRecord(
         dataset=dataset, model=model, fe=fe, dims=dims, fold="mean",
@@ -465,7 +465,8 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
     def finish_group(fe, dims, results):
         for model, cell in results.items():
-            payload, curve = _cell_payload(dataset, fe, dims, model, config, cell)
+            payload, curve = _cell_payload(dataset, fe, dims, model, config, cell,
+                                           pooled_labels, pooled_types)
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
             completed[f"{fe}:{dims}:{model}"] = payload
@@ -479,6 +480,9 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             todo.append((fe, dims, pending))
     with_pca = any(fe == "pca" for fe, _, _ in todo)
     fold_fits = _fold_fits(config, fm, plan, with_pca, (scaler, pca))
+    pooled_idx = np.concatenate([fit.test_idx for fit in fold_fits])
+    pooled_labels = fm.labels[pooled_idx]
+    pooled_types = None if fm.attack_types is None else fm.attack_types[pooled_idx]
 
     if jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -8,7 +8,7 @@ the synthetic generator. Custom layouts load from a JSON file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import SchemaError
 
@@ -17,6 +17,8 @@ from .errors import SchemaError
 class DatasetSchema:
     """Column roles for one dataset layout.
 
+    ``attack_type_column`` may be the label column, but no other role's:
+    ingest would drop or encode it before reading the attack types.
     ``positive_token`` is the raw label value that marks an attack row.
     ``benign_token``, when set, takes precedence: every label value other
     than it is an attack (needed for files whose label column holds the
@@ -48,6 +50,12 @@ class DatasetSchema:
                         f"schema {self.name!r}: columns {sorted(overlap)} appear "
                         f"in both {a} and {b}"
                     )
+        for role in ("identifier_columns", "categorical_columns", "boolean_columns"):
+            if self.attack_type_column in groups[role]:
+                raise SchemaError(
+                    f"schema {self.name!r}: attack_type_column "
+                    f"{self.attack_type_column!r} is also in {role}"
+                )
 
     def declared_columns(self) -> list[str]:
         cols = list(self.identifier_columns)
@@ -131,16 +139,17 @@ def schema_from_file(path) -> DatasetSchema:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: schema file must hold a JSON object")
-    known = {
-        "name", "identifier_columns", "categorical_columns", "boolean_columns",
-        "label_column", "attack_type_column", "positive_token", "benign_token",
-    }
-    unknown = set(raw) - known
+    defaults = {f.name: f.default for f in fields(DatasetSchema)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise SchemaError(f"{path}: unknown schema keys {sorted(unknown)}")
-    for key in ("identifier_columns", "categorical_columns", "boolean_columns"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    for key, value in raw.items():
+        if isinstance(defaults[key], tuple):
+            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+                raise SchemaError(f"{path}: {key} must be a list of column names, got {value!r}")
+            raw[key] = tuple(value)
+        elif not isinstance(value, str) and not (value is None and defaults[key] is None):
+            raise SchemaError(f"{path}: {key} must be a string, got {value!r}")
     try:
         return DatasetSchema(**raw)
     except (TypeError, SchemaError) as exc:
@@ -148,17 +157,9 @@ def schema_from_file(path) -> DatasetSchema:
 
 
 def schema_to_file(schema: DatasetSchema, path) -> None:
-    doc = {
-        "name": schema.name,
-        "identifier_columns": list(schema.identifier_columns),
-        "categorical_columns": list(schema.categorical_columns),
-        "boolean_columns": list(schema.boolean_columns),
-        "label_column": schema.label_column,
-        "attack_type_column": schema.attack_type_column,
-        "positive_token": schema.positive_token,
-    }
-    if schema.benign_token is not None:
-        doc["benign_token"] = schema.benign_token
+    doc = asdict(schema)  # json writes each column tuple as a list
+    if schema.benign_token is None:
+        del doc["benign_token"]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

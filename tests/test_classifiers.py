@@ -290,7 +290,7 @@ class TestLogisticRegression:
     def test_class_weights_shift_boundary(self):
         fm = blobs(n0=180, n1=20, d=1, separation=2.0, seed=8)
         plain = lr_fit(fm)
-        weighted = lr_fit(fm, weights=ClassWeights(w0=0.555, w1=5.0))
+        weighted = lr_fit(fm, sample_weight=ClassWeights(w0=0.555, w1=5.0).per_sample(fm.labels))
         # upweighting the minority class detects more of it
         assert (lr_score(weighted, fm) >= 0.5).sum() >= (lr_score(plain, fm) >= 0.5).sum()
 

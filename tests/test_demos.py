@@ -13,8 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_demo(name, tmp_path) -> str:
     # the demos write under the temporary directory, which must be empty again afterwards
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # pyproject's filterwarnings does not reach a subprocess, so the demos get the same flags
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, *warnings, str(ROOT / "demos" / name)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

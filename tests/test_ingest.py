@@ -427,11 +427,13 @@ class TestFullPipeline:
         dump_feature_matrix(untyped, out)
         assert read_dump(out)[2] == ["", "", ""]
 
-    def test_schema_json_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("schema", [TINY, CSE_CIC_IDS2018],
+                             ids=["tiny", "attack-type-is-label"])
+    def test_schema_json_round_trip(self, tmp_path, schema):
         path = tmp_path / "schema.json"
-        schema_to_file(TINY, path)
+        schema_to_file(schema, path)
         loaded = schema_from_file(path)
-        assert loaded == TINY
+        assert loaded == schema
 
     @pytest.mark.parametrize("doc, message", [
         (["label"], "must hold a JSON object"),
@@ -439,7 +441,15 @@ class TestFullPipeline:
         ({"label_column": "y"}, "name"),
         ({"name": "x", "categorical_columns": ["proto"], "boolean_columns": ["proto"]},
          r"\['proto'\] appear in both categorical_columns and boolean_columns"),
-    ], ids=["list", "unknown-key", "missing-name", "two-roles"])
+        ({"name": "x", "identifier_columns": "flow_id"},
+         "identifier_columns must be a list of column names, got 'flow_id'"),
+        ({"name": "x", "label_column": 5}, "label_column must be a string, got 5"),
+        ({"name": "x", "identifier_columns": ["kind"], "attack_type_column": "kind"},
+         "attack_type_column 'kind' is also in identifier_columns"),
+        ({"name": "x", "categorical_columns": ["kind"], "attack_type_column": "kind"},
+         "attack_type_column 'kind' is also in categorical_columns"),
+    ], ids=["list", "unknown-key", "missing-name", "two-roles", "string-columns",
+            "number-label", "attack-type-identifier", "attack-type-categorical"])
     def test_bad_schema_file_names_file(self, tmp_path, doc, message):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(doc))

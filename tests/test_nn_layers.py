@@ -64,7 +64,7 @@ class TestBceLoss:
         np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
     def test_class_weight_scaling(self):
-        loss = bce_loss([0.5], [1], ClassWeights(w0=1.0, w1=2.0))
+        loss = bce_loss([0.5], [1], ClassWeights(w0=1.0, w1=2.0).per_sample([1]))
         np.testing.assert_allclose(loss, 2.0 * np.log(2.0), rtol=1e-12)
 
     def test_non_negative_and_clamped(self):

@@ -175,6 +175,15 @@ class TestSubsample:
         kinds = set(out.attack_types[out.labels == 1])
         assert {"dos", "rare"} <= kinds
 
+    @pytest.mark.parametrize("n0, n1, cap", [(900, 100, 100), (995, 5, 50), (30, 10, 39)])
+    def test_class_quotas_without_attack_types(self, n0, n1, cap):
+        fm = blobs(n0, n1, seed=0)
+        assert fm.attack_types is None
+        out = stratified_subsample(fm, cap, seed=2)
+        for cls, n_c in ((0, n0), (1, n1)):
+            expected = min(n_c, max(1, round(cap * n_c / (n0 + n1))))
+            assert (out.labels == cls).sum() == expected
+
     def test_noop_when_under_cap(self):
         fm = blobs(20, 20, seed=0)
         assert stratified_subsample(fm, 100, seed=0) is fm

@@ -4,15 +4,18 @@ import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
     DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
     derive_seed, load_dataset, read_manifest, run, run_summary,
 )
+from flowbench.schema import get_schema, schema_to_file
 from flowbench.synth import SynthSpec, synth_generate
 
 
@@ -89,6 +92,12 @@ class TestConfig:
         ("train.learning_rate", {"train": {"learning_rate": [1]}}),
         ("train.learning_rate", {"train": {"learning_rate": "abc"}}),
         ("folds", {"folds": "5"}),
+        ("dimensions", {"dimensions": 5}),
+        ("train", {"train": None}),
+        ("fe_methods", {"fe_methods": "pca"}),
+        ("models", {"models": "dt"}),
+        ("models", {"models": ["nb", "nb"]}),
+        ("fe_methods", {"fe_methods": ["pca", "full", "pca"]}),
     ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
     def test_badly_typed_value_names_field(self, dataset, name, over):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -267,6 +276,23 @@ class TestRun:
             assert {name: actual for name, (actual, _, _) in table.items()} == attack_rows
             for actual, detected, dr in table.values():
                 assert dr == detected / actual
+
+    def test_sweep_without_attack_types(self, dataset, tmp_path):
+        header, *body = read_csv(dataset)
+        keep = [i for i, name in enumerate(header) if name != "attack_type"]
+        flows = tmp_path / "flows.csv"
+        write_csv(flows, [header[i] for i in keep], ([row[i] for i in keep] for row in body))
+        schema = tmp_path / "schema.json"
+        schema_to_file(replace(get_schema("synthetic"), attack_type_column=None), schema)
+        out = tmp_path / "out"
+        config = small_config(flows, out, schema_file=str(schema))
+        assert load_dataset(config).attack_types is None
+        records = run(config)
+        assert records and all(r["status"] == "ok" for r in records)
+        _, completed = read_manifest(out)
+        assert len(completed) == 8
+        assert all(cell["per_attack"] is None for cell in completed.values())
+        assert "Per-attack" not in (out / "summary.txt").read_text()
 
     def test_subsample_cap(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "out", subsample=120)
