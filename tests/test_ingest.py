@@ -427,13 +427,11 @@ class TestFullPipeline:
         dump_feature_matrix(untyped, out)
         assert read_dump(out)[2] == ["", "", ""]
 
-    @pytest.mark.parametrize("schema", [TINY, CSE_CIC_IDS2018],
-                             ids=["tiny", "attack-type-is-label"])
-    def test_schema_json_round_trip(self, tmp_path, schema):
+    def test_schema_json_round_trip(self, tmp_path):
         path = tmp_path / "schema.json"
-        schema_to_file(schema, path)
-        loaded = schema_from_file(path)
-        assert loaded == schema
+        for schema in (TINY, CSE_CIC_IDS2018):  # the second's attack type is its label
+            schema_to_file(schema, path)
+            assert schema_from_file(path) == schema
 
     @pytest.mark.parametrize("doc, message", [
         (["label"], "must hold a JSON object"),
