@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix, model_input
+from ..ingest import FeatureMatrix, model_input, row_weights
 from ..nn.layers import sigmoid
 
 C = 1.0
@@ -64,12 +64,15 @@ def _two_loop(grad, s_hist, y_hist):
 
 
 def lr_fit(train: FeatureMatrix, sample_weight=None) -> LrModel:
-    """Fit on ``train``; ``sample_weight`` is the per-row om_i (1 when absent)."""
+    """Fit on ``train``; ``sample_weight`` is the per-row om_i (1 when absent).
+
+    Each om_i must be finite and non-negative.
+    """
     x = train.values
     if x.shape[0] == 0:
         raise ValueError("cannot fit on an empty matrix")
     y_pm = 2.0 * train.labels - 1.0
-    sw = np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, float)
+    sw = row_weights(sample_weight, x.shape[0])
 
     theta = np.zeros(x.shape[1] + 1)
     f, g = _loss_grad(theta, x, y_pm, sw, C)

@@ -4,6 +4,12 @@ Splits are enumerated exactly: candidate thresholds are the midpoints of
 consecutive distinct sorted values of each feature, and ties break to the
 lowest feature index, then the lowest threshold. The tree grows until
 nodes are pure or no candidate split reduces the weighted impurity.
+
+A fit sorts each feature once, with a stable sort (SLIQ, Mehta et al.
+1996). Each node keeps its rows in every feature's sorted order, and a
+split hands each child its part of every list by one stable partition, so
+no node sorts again. A node searches all of its features at once, in
+blocks of about ``SEARCH_BLOCK`` (feature, row) entries.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix
+from ..ingest import FeatureMatrix, row_weights
+
+SEARCH_BLOCK = 1 << 12  # (feature, row) entries per block: bounds the search's temporaries
 
 
 @dataclass
@@ -50,8 +58,21 @@ def gini(weight0: float, weight1: float) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def best_split(x, y, w):
+def presort(x) -> np.ndarray:
+    """The (d + 1, n) row lists of ``x`` (n, d).
+
+    Row 0 is 0..n-1; row 1 + f holds the same rows sorted stably by feature f.
+    """
+    return np.vstack([np.arange(x.shape[0]), np.argsort(x.T, axis=1, kind="stable")])
+
+
+def best_split(x, y, w, presorted=None):
     """Exhaustive best (feature, threshold) by weighted Gini, or None.
+
+    ``x`` is (n, d), ``y`` holds the labels (class 1 where ``y == 1``) and
+    ``w`` the row weights (all 1 when None). ``presorted`` is the node's
+    rows in the layout of ``presort`` when the node holds only some rows;
+    without it the node is every row, sorted here.
 
     Returns (feature, threshold, weighted_gini); None when no candidate
     split exists or none strictly reduces the node impurity.
@@ -59,68 +80,105 @@ def best_split(x, y, w):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     w = np.ones(x.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
-    total_w = w.sum()
-    total_w1 = float(w[y == 1].sum())
+    lists = presort(x) if presorted is None else presorted
+    rows, order = lists[0], lists[1:]
+    node_w = w[rows]
+    total_w = np.add.reduce(node_w)
+    total_w1 = float(np.add.reduce(node_w[y[rows] == 1]))
     total_w0 = total_w - total_w1
     parent = gini(total_w0, total_w1)
 
-    best = None
-    for feature in range(x.shape[1]):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        ws = w[order]
-        w1s = ws * (y[order] == 1)
-        cut = np.flatnonzero(xs[:-1] != xs[1:])
-        if cut.size == 0:
-            continue
-        left_w = np.cumsum(ws)[cut]
-        left_w1 = np.cumsum(w1s)[cut]
-        left_w0 = left_w - left_w1
-        right_w1 = total_w1 - left_w1
-        right_w0 = total_w0 - left_w0
-        right_w = total_w - left_w
-        g_left = 1.0 - (left_w0 / left_w) ** 2 - (left_w1 / left_w) ** 2
-        g_right = 1.0 - (right_w0 / right_w) ** 2 - (right_w1 / right_w) ** 2
-        weighted = (left_w * g_left + right_w * g_right) / total_w
-        pick = int(np.argmin(weighted))  # first minimum = lowest threshold
-        if best is None or weighted[pick] < best[2]:
-            threshold = (xs[cut[pick]] + xs[cut[pick] + 1]) / 2.0
-            best = (feature, float(threshold), float(weighted[pick]))
-    if best is None or best[2] >= parent:
+    d, m = order.shape
+    if m < 2 or d == 0:
         return None
-    return best
+    features = np.arange(d)[:, None]
+    step = max(1, SEARCH_BLOCK // m)
+    best = None
+    for lo in range(0, d, step):
+        block = order[lo:lo + step]
+        # side[s, f, k] and cls[c, s, f, k]: the weight and the class-c weight
+        # on side s (left, right) of the cut after sorted position k of feature
+        # lo + f; cls becomes p_c^2, then 1 - p0^2 - p1^2 times the side's
+        # weight in cls[0]. Every step is the per-feature scan's arithmetic, in
+        # its order, so that the result is bit-identical.
+        side = np.empty((2,) + block.shape)
+        cls = np.empty((2, 2) + block.shape)
+        side[0] = w[block]
+        np.multiply(side[0], y[block] == 1, out=cls[1, 0])
+        np.add.accumulate(side[0], axis=1, out=side[0])
+        np.add.accumulate(cls[1, 0], axis=1, out=cls[1, 0])
+        np.subtract(side[0], cls[1, 0], out=cls[0, 0])
+        np.subtract(total_w0, cls[0, 0], out=cls[0, 1])
+        np.subtract(total_w1, cls[1, 0], out=cls[1, 1])
+        np.subtract(total_w, side[0], out=side[1])
+        side[1, :, -1] = 1.0  # nothing lies right of the last row: no cut there
+        np.divide(cls, side, out=cls)
+        np.square(cls, out=cls)
+        g = cls[0]
+        np.subtract(1.0, g, out=g)
+        np.subtract(g, cls[1], out=g)
+        np.multiply(side, g, out=g)
+        g = np.add(g[0], g[1], out=g[0])
+        np.divide(g, total_w, out=g)
+        xs = x[block, features[lo:lo + step]]
+        g[:, :-1][xs[:, :-1] == xs[:, 1:]] = np.inf  # no threshold between equal values
+        g[:, -1] = np.inf
+        f, k = divmod(int(g.argmin()), m)  # lowest feature, then lowest threshold
+        v = g[f, k]
+        if v != v and (x[rows, :lo + f] != x[rows[0], :lo + f]).any():
+            # a per-feature scan takes a feature's first NaN as its minimum, which
+            # wins only on the first feature with a cut and loses everywhere else
+            g[np.isnan(g).any(axis=1)] = np.inf
+            f, k = divmod(int(g.argmin()), m)
+            v = g[f, k]
+        if best is None or v < best[2] or v != v:
+            best = (lo + f, k, v)
+    feature, k, weighted = best
+    if weighted >= parent:
+        return None
+    threshold = (x[order[feature, k], feature] + x[order[feature, k + 1], feature]) / 2.0
+    return feature, float(threshold), float(weighted)
 
 
 def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
-    """Grow a tree to purity (or until no split reduces weighted Gini)."""
+    """Grow a tree to purity (or until no split reduces weighted Gini).
+
+    ``sample_weight`` holds one positive, finite weight per row (1 when absent).
+    """
     x = train.values
     y = train.labels
-    if x.shape[0] == 0:
+    y1 = y == 1
+    n = x.shape[0]
+    if n == 0:
         raise ValueError("cannot fit a tree on an empty matrix")
-    w = None if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    w = row_weights(sample_weight, n, allow_zero=False)
 
     feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [(0, 0)]
-    stack = [(0, np.arange(x.shape[0]))]
+    go_left = np.empty(n, dtype=bool)
+    stack = [(0, presort(x))]
     while stack:
-        node, idx = stack.pop()
-        ys = y[idx]
-        n1 = int((ys == 1).sum())
-        counts[node] = (len(idx) - n1, n1)
-        if n1 == 0 or n1 == len(idx):
+        node, lists = stack.pop()
+        rows = lists[0]
+        n1 = np.count_nonzero(y1[rows])
+        counts[node] = (len(rows) - n1, n1)
+        if n1 == 0 or n1 == len(rows):
             continue
-        found = best_split(x[idx], ys, None if w is None else w[idx])
+        found = best_split(x, y, w, lists)
         if found is None:
             continue
         feature[node], threshold[node], _ = found
-        go_left = x[idx, feature[node]] <= threshold[node]
-        for children, rows in ((left, idx[go_left]), (right, idx[~go_left])):
+        go_left[rows] = x[rows, feature[node]] <= threshold[node]
+        in_left = go_left[lists]  # one stable partition of every row list
+        n_left = np.count_nonzero(in_left[0])
+        n_right = len(rows) - n_left
+        for children, kept, size in ((left, in_left, n_left), (right, ~in_left, n_right)):
             children[node] = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
             counts.append((0, 0))
-            stack.append((children[node], rows))
+            stack.append((children[node], lists[kept].reshape(len(lists), size)))
     return TreeModel(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbench.classifiers import (
     ClassifierSpec, cnn_layers, conv_output_lengths, dff_layers, dt_fit, dt_score,
     fit_classifier, fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
 )
-from flowbench.classifiers import logistic
+from flowbench.classifiers import logistic, tree
 from flowbench.classifiers.logistic import _loss_grad
 from flowbench.classifiers.tree import TreeModel, best_split, gini
 from flowbench.extract import (
@@ -17,6 +19,7 @@ from flowbench.persist import load_model, save_model
 from flowbench.preprocess import ClassWeights
 
 from helpers import blobs
+from tree_reference import reference_best_split, reference_dt_fit
 
 
 def matrix(values, labels):
@@ -241,6 +244,125 @@ class TestDecisionTree:
         p_a = dt_score(dt_fit(fm), fm)
         p_b = dt_score(dt_fit(transformed), transformed)
         np.testing.assert_allclose(p_a, p_b)
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
+@st.composite
+def tree_inputs(draw):
+    """A small matrix with many ties, maybe constant columns, one class or two, and weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 5))
+    x = np.round(rng.normal(scale=2.0, size=(n, d)), draw(st.sampled_from([0, 1, 3])))
+    x[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 1.5
+    if draw(st.booleans()):
+        y = rng.integers(0, 2, n)
+    else:
+        y = np.full(n, draw(st.integers(0, 1)))
+    weighting = draw(st.sampled_from(["none", "class", "row"]))
+    if weighting == "none":
+        w = None
+    elif weighting == "class":
+        w = np.where(y == 1, rng.uniform(0.5, 20.0), rng.uniform(0.5, 2.0))
+    else:
+        w = rng.uniform(0.01, 10.0, n)
+    return matrix(x, y), w, draw(st.sampled_from([1, 7, tree.SEARCH_BLOCK]))
+
+
+def assert_same_tree(got: TreeModel, want: TreeModel):
+    for name in TREE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestPresortedTree:
+    """The presorted fit against the per-node-sort reference in tests/tree_reference.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_inputs())
+    def test_matches_reference(self, case):
+        fm, w, block = case
+        saved = tree.SEARCH_BLOCK
+        tree.SEARCH_BLOCK = block  # 1 and 7 split the search into many blocks
+        try:
+            got = dt_fit(fm, w)
+        finally:
+            tree.SEARCH_BLOCK = saved
+        assert_same_tree(got, reference_dt_fit(fm, w))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_reference_on_overlapping_blobs(self, weighted):
+        fm = blobs(n0=700, n1=120, d=6, separation=1.0, seed=11)
+        fm = matrix(np.round(fm.values, 2), fm.labels)
+        w = ClassWeights(w0=0.59, w1=3.42).per_sample(fm.labels) if weighted else None
+        got = dt_fit(fm, w)
+        assert len(got.feature) > 50
+        assert_same_tree(got, reference_dt_fit(fm, w))
+
+    @pytest.mark.parametrize("block", [1, tree.SEARCH_BLOCK])
+    def test_matches_reference_where_weights_swamp_the_sums(self, monkeypatch, block):
+        # with weights 1e17 and 1, a side's weight can round to 0 and its Gini
+        # to NaN; a per-feature scan ranks such a feature in its own way
+        monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
+        rng = np.random.default_rng(13)
+        nan_splits = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(400):
+                n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+                x = rng.integers(0, 3, size=(n, d)).astype(float)
+                y = rng.integers(0, 2, n)
+                w = np.where(rng.random(n) < 0.4, 1e17, 1.0)
+                want = reference_best_split(x, y, w)
+                assert repr(best_split(x, y, w)) == repr(want)
+                nan_splits += want is not None and np.isnan(want[2])
+                assert_same_tree(dt_fit(matrix(x, y), w), reference_dt_fit(matrix(x, y), w))
+        assert nan_splits > 0
+
+    def test_best_split_called_once_per_mixed_node(self, monkeypatch):
+        calls = []
+        original = tree.best_split
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "best_split", counting)
+        fm = blobs(n0=150, n1=150, d=3, separation=1.0, seed=9)
+        fm = matrix(np.round(fm.values), fm.labels)  # repeated points with both labels
+        model = dt_fit(fm)
+        mixed = (model.counts > 0).all(axis=1)
+        assert len(calls) == int(mixed.sum())
+        # mixed leaves, where best_split found no split, count too
+        assert (mixed & (model.feature < 0)).any()
+
+    def test_public_best_split_sorts_itself(self):
+        x = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+        y = np.array([1, 0, 1, 0])
+        assert best_split(x, y, None) == (0, 1.5, 0.0)
+        lists = tree.presort(x)
+        assert lists.tolist() == [[0, 1, 2, 3], [3, 1, 2, 0], [2, 3, 0, 1]]
+        assert best_split(x, y, np.ones(4), lists) == (0, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("fit", [dt_fit, lr_fit], ids=["dt", "lr"])
+@pytest.mark.parametrize("weights", [
+    np.ones(25), np.ones((20, 1)), np.full(20, -1.0),
+    np.r_[np.ones(19), np.nan], np.r_[np.ones(19), np.inf],
+], ids=["too-long", "column", "negative", "nan", "inf"])
+def test_bad_sample_weight_rejected(fit, weights):
+    fm = blobs(n0=10, n1=10, d=2, seed=12)
+    with pytest.raises(ValueError, match="sample_weight"):
+        fit(fm, sample_weight=weights)
+
+
+def test_zero_sample_weight_rejected_by_tree_only():
+    fm = blobs(n0=10, n1=10, d=2, seed=12)
+    w = np.r_[0.0, np.ones(19)]
+    with pytest.raises(ValueError, match=r"sample_weight\[0\] = 0.0 is not finite and positive"):
+        dt_fit(fm, sample_weight=w)
+    assert np.isfinite(lr_fit(fm, sample_weight=w).weights).all()
 
 
 class TestLogisticRegression:
