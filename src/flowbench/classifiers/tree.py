@@ -1,9 +1,12 @@
 """CART-style binary decision tree minimizing Gini impurity.
 
 Splits are enumerated exactly: candidate thresholds are the midpoints of
-consecutive distinct sorted values of each feature, and ties break to the
-lowest feature index, then the lowest threshold. The tree grows until
-nodes are pure or no candidate split reduces the weighted impurity.
+consecutive distinct sorted values of each feature (see ``midpoint``), and
+ties break to the lowest feature index, then the lowest threshold. A
+candidate whose weighted Gini is NaN (a side's weight rounded to 0) is no
+split. The tree grows until nodes are pure or no candidate split reduces
+the weighted impurity; a split that would leave a child empty leaves its
+node a leaf, so every fit ends.
 
 A fit sorts each feature once, with a stable sort (SLIQ, Mehta et al.
 1996). Each node keeps its rows in every feature's sorted order, and a
@@ -14,6 +17,7 @@ blocks of about ``SEARCH_BLOCK`` (feature, row) entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,17 @@ def gini(weight0: float, weight1: float) -> float:
     p0 = weight0 / total
     p1 = weight1 / total
     return 1.0 - p0 * p0 - p1 * p1
+
+
+def midpoint(a: float, b: float) -> float:
+    """A threshold t with a <= t < b for neighbouring values a < b.
+
+    ``a / 2 + b / 2`` cannot overflow, and rounds as ``(a + b) / 2`` does
+    outside the subnormal range; when it rounds up to ``b`` (adjacent
+    doubles) or is not finite, ``a`` is the threshold.
+    """
+    t = float(a) / 2.0 + float(b) / 2.0
+    return t if t != b and math.isfinite(t) else float(a)
 
 
 def presort(x) -> np.ndarray:
@@ -125,19 +140,17 @@ def best_split(x, y, w, presorted=None):
         g[:, -1] = np.inf
         f, k = divmod(int(g.argmin()), m)  # lowest feature, then lowest threshold
         v = g[f, k]
-        if v != v and (x[rows, :lo + f] != x[rows[0], :lo + f]).any():
-            # a per-feature scan takes a feature's first NaN as its minimum, which
-            # wins only on the first feature with a cut and loses everywhere else
-            g[np.isnan(g).any(axis=1)] = np.inf
+        if v != v:  # argmin stops at the first NaN; a NaN Gini is no split
+            g[np.isnan(g)] = np.inf
             f, k = divmod(int(g.argmin()), m)
             v = g[f, k]
-        if best is None or v < best[2] or v != v:
+        if best is None or v < best[2]:
             best = (lo + f, k, v)
     feature, k, weighted = best
     if weighted >= parent:
         return None
-    threshold = (x[order[feature, k], feature] + x[order[feature, k + 1], feature]) / 2.0
-    return feature, float(threshold), float(weighted)
+    threshold = midpoint(x[order[feature, k], feature], x[order[feature, k + 1], feature])
+    return feature, threshold, float(weighted)
 
 
 def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
@@ -171,6 +184,9 @@ def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
         in_left = go_left[lists]  # one stable partition of every row list
         n_left = np.count_nonzero(in_left[0])
         n_right = len(rows) - n_left
+        if n_left == 0 or n_right == 0:  # a child would be its parent again: stop here
+            feature[node], threshold[node] = -1, 0.0
+            continue
         for children, kept, size in ((left, in_left, n_left), (right, ~in_left, n_right)):
             children[node] = len(feature)
             feature.append(-1)

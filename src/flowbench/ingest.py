@@ -1,20 +1,35 @@
 """Raw flow-record CSVs -> clean numeric feature matrices.
 
 The pipeline is: load_csv -> drop_identifiers -> deduplicate ->
-encode_categoricals -> clean_values. Every step is a pure function on an
-in-memory string table, so the cleaning rules (dash/NaN/Infinity -> 0,
-Boolean tokens -> 0/1, label tokens -> {0,1}) operate on the exact cell
-text the file carried. Deduplication runs after the identifier columns
-are dropped and compares that exact text, so ``1.0`` and ``1`` differ.
+encode_categoricals -> clean_values. The cleaning rules (dash/NaN/Infinity
+-> 0, Boolean tokens -> 0/1, label tokens -> {0,1}) operate on the exact
+cell text the file carried. Deduplication runs after the identifier
+columns are dropped and compares that exact text, so ``1.0`` and ``1``
+differ.
 
-The steps work column by column with C-level builtins: a numeric column
-goes through ``float`` in one pass and only the cells it rejects reach
-the missing-token rules; Boolean, label and attack-type columns parse
-each distinct token once.
+``load_feature_matrix`` runs these steps on the file in chunks of
+``CHUNK_ROWS`` rows and finishes each chunk before it reads the next, so
+it holds one chunk of text beside the growing float64 matrix. Each chunk
+is width-checked, loses its identifier cells, and is deduplicated against
+a set of 128-bit BLAKE2b digests of the rows kept so far, which holds no
+row text: with n distinct rows, the chance that two share a digest (and
+one is dropped wrongly) is below n**2 / 2**129, about 1.5e-27 at a million
+rows. A chunk's numeric cells go through ``float`` in one row-major
+C-level stream, and only the cells it rejects reach the missing-token
+rules; Boolean, label and attack-type cells parse each distinct token
+once. Categorical cells get first-seen ids while the file streams, and
+at the end one remap per column turns them into codes in lexicographic
+order of the category text.
+
+The named steps work on a ``RawTable`` of string cells and share the
+stream's chunk reader, digest dedup and parse kernels: ``load_csv`` reads
+the whole file as one chunk and ``deduplicate`` is the one-chunk case of
+the cross-chunk dedup.
 
 Errors name the row as the 0-based data row of the file (the header is
 not counted), whatever rows deduplication removed before it, and the
-column. When several cells are bad, the first in file order is named.
+column. A ragged row anywhere in the file wins; otherwise, when several
+cells are bad, the first in file order is named.
 """
 
 from __future__ import annotations
@@ -23,8 +38,10 @@ import csv
 import logging
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from functools import partial
+from hashlib import blake2b
+from itertools import chain, islice, repeat
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -36,6 +53,14 @@ log = logging.getLogger(__name__)
 TRUE_TOKENS = frozenset({"1", "t", "true", "yes"})
 FALSE_TOKENS = frozenset({"0", "f", "false", "no"})
 MISSING_TOKENS = frozenset({"", "-", "nan", "inf", "infinity", "-inf", "-infinity"})
+CHUNK_ROWS = 512  # rows read and parsed at a time; a chunk's cells stay in cache
+
+
+def _column_index(columns: list[str], name: str) -> int:
+    try:
+        return columns.index(name)
+    except ValueError:
+        raise SchemaError(f"column {name!r} not present in table") from None
 
 
 @dataclass
@@ -56,10 +81,7 @@ class RawTable:
         return len(self.rows)
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise SchemaError(f"column {name!r} not present in table") from None
+        return _column_index(self.columns, name)
 
     def source_row(self, r: int) -> int:
         """0-based data row of the file that row ``r`` came from."""
@@ -167,6 +189,40 @@ def row_weights(sample_weight, n_rows: int, *, allow_zero: bool = True) -> np.nd
     return w
 
 
+def _read_header(reader, path, schema: DatasetSchema) -> list[str]:
+    """The stripped header row, checked against the schema."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    required = [c for c in schema.declared_columns()
+                if c not in schema.identifier_columns]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing declared column(s) {missing}")
+    absent_ids = [c for c in schema.identifier_columns if c not in header]
+    if absent_ids:
+        log.info("%s: identifier column(s) %s not present", path, absent_ids)
+    return header
+
+
+def _chunks(reader, width: int, size: int | None):
+    """Yield (first data row, rows) for each run of ``size`` rows; None reads all at once.
+
+    Fails on the first ragged row, naming its 0-based data row.
+    """
+    start = 0
+    while rows := list(islice(reader, size)):
+        if not all(map(width.__eq__, map(len, rows))):
+            r = next(r for r, row in enumerate(rows) if len(row) != width)
+            raise DataFormatError(
+                f"ragged row: expected {width} cells, got {len(rows[r])}", row=start + r
+            )
+        yield start, rows
+        start += len(rows)
+
+
 def load_csv(path, schema: DatasetSchema) -> RawTable:
     """Read a comma-separated, header-first, UTF-8 flow file.
 
@@ -177,27 +233,8 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        required = [c for c in schema.declared_columns()
-                    if c not in schema.identifier_columns]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing declared column(s) {missing}")
-        absent_ids = [c for c in schema.identifier_columns if c not in header]
-        if absent_ids:
-            log.info("%s: identifier column(s) %s not present", path, absent_ids)
-        width = len(header)
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != width:
-                raise DataFormatError(
-                    f"ragged row: expected {width} cells, got {len(row)}", row=i
-                )
-            rows.append(tuple(row))
+        header = _read_header(reader, path, schema)
+        rows = [tuple(row) for _, chunk in _chunks(reader, len(header), None) for row in chunk]
     return RawTable(columns=header, rows=rows)
 
 
@@ -215,35 +252,69 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _kept_columns(columns: list[str], schema: DatasetSchema):
+    """(kept column names, row -> tuple of its kept cells), identifiers left out."""
+    drop = set(schema.identifier_columns) & set(columns)
+    skipped = set(schema.identifier_columns) - drop
+    if skipped:
+        log.info("identifier column(s) already absent: %s", sorted(skipped))
+    keep = [i for i, c in enumerate(columns) if c not in drop]
+    # itemgetter returns a bare cell, not a 1-tuple, for a single index
+    take = itemgetter(*keep) if len(keep) > 1 else (lambda row: tuple(row[i] for i in keep))
+    return [columns[i] for i in keep], take
+
+
 def drop_identifiers(table: RawTable, schema: DatasetSchema) -> RawTable:
     """Remove flow-identifier columns (IPs, ports, timestamps, row ids).
 
     The rows come back as tuples of the kept cells.
     """
-    drop = set(schema.identifier_columns) & set(table.columns)
-    skipped = set(schema.identifier_columns) - drop
-    if skipped:
-        log.info("identifier column(s) already absent: %s", sorted(skipped))
-    keep = [i for i, c in enumerate(table.columns) if c not in drop]
-    # itemgetter returns a bare cell, not a 1-tuple, for a single index
-    take = itemgetter(*keep) if len(keep) > 1 else (lambda row: tuple(row[i] for i in keep))
-    return RawTable(
-        columns=[table.columns[i] for i in keep],
-        rows=list(map(take, table.rows)),
-        source_rows=table.source_rows,
-    )
+    columns, take = _kept_columns(table.columns, schema)
+    return RawTable(columns=columns, rows=list(map(take, table.rows)),
+                    source_rows=table.source_rows)
 
 
-def deduplicate(table: RawTable) -> RawTable:
+def _row_digests(rows, width: int):
+    """A 128-bit BLAKE2b digest of each row of ``width`` cells.
+
+    A row is hashed as its cells joined by NUL. The csv reader passes NUL
+    through inside a cell, so a row whose joined text holds more than
+    ``width - 1`` NULs is hashed as ``width`` NULs and the ``repr`` of its
+    cells instead, which holds no other NUL. Both forms decode to exactly
+    one row, so equal digests mean equal rows unless BLAKE2b collides.
+    """
+    texts = list(map("\0".join, rows))
+    if sum(map(methodcaller("count", "\0"), texts)) != (width - 1) * len(texts):
+        texts = [text if text.count("\0") == width - 1 else "\0" * width + repr(tuple(row))
+                 for text, row in zip(texts, rows)]
+    data = map(str.encode, texts, repeat("utf-8"), repeat("surrogatepass"))
+    return map(methodcaller("digest"), map(partial(blake2b, digest_size=16), data))
+
+
+def _new_rows(rows, width: int, seen: set) -> list[int]:
+    """Indices of the rows whose digest is not in ``seen``; adds each new digest.
+
+    A row repeated within ``rows`` counts once, at its first index.
+    """
+    kept = []
+    for r, digest in enumerate(_row_digests(rows, width)):
+        if digest not in seen:
+            seen.add(digest)
+            kept.append(r)
+    return kept
+
+
+def deduplicate(table: RawTable, seen: set | None = None) -> RawTable:
     """Keep the first occurrence of each distinct row, preserving order.
 
-    Rows are equal when their cells have the same exact text. Each kept
-    row keeps its source row, so later errors name the file's row.
+    Rows are equal when their cells have the same exact text. ``seen``
+    holds the digests of rows met before this table (see ``_row_digests``);
+    a row whose digest is in it is dropped, and each kept row's digest is
+    added. With n distinct rows the chance that two share a digest, so that
+    one is dropped wrongly, is below n**2 / 2**129. Each kept row keeps its
+    source row, so later errors name the file's row.
     """
-    first = {}
-    for r, row in enumerate(table.rows):
-        first.setdefault(tuple(row), r)
-    kept = list(first.values())
+    kept = _new_rows(table.rows, len(table.columns), set() if seen is None else seen)
     return RawTable(
         columns=list(table.columns),
         rows=[table.rows[r] for r in kept],
@@ -258,6 +329,23 @@ class EncoderMap:
     maps: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
+def _decoded(cells: list[str], cache: dict, decode):
+    """The cells through ``cache``, after ``decode`` filled in each token it lacks.
+
+    Tokens are decoded in order of first occurrence, so when ``decode``
+    raises, it raises on the token of the earliest such cell.
+    """
+    for token in dict.fromkeys(cells):
+        if token not in cache:
+            cache[token] = decode(token)
+    return map(cache.__getitem__, cells)
+
+
+def _lexicographic(categories) -> dict[str, int]:
+    """Category -> code, 0, 1, ... in lexicographic order of the category text."""
+    return {cat: code for code, cat in enumerate(sorted(categories))}
+
+
 def encode_categoricals(table: RawTable, schema: DatasetSchema) -> tuple[RawTable, EncoderMap]:
     """Replace categorical strings with integer codes.
 
@@ -269,9 +357,8 @@ def encode_categoricals(table: RawTable, schema: DatasetSchema) -> tuple[RawTabl
     for col in dict.fromkeys(schema.categorical_columns):  # a repeated name encodes once
         if col in table.columns:
             i = table.column_index(col)
-            cats = sorted(set(table.column(i)))
-            emap.maps[col] = {cat: code for code, cat in enumerate(cats)}
-            coders.append((i, {cat: str(code) for code, cat in enumerate(cats)}))
+            emap.maps[col] = _lexicographic(set(table.column(i)))
+            coders.append((i, {cat: str(code) for cat, code in emap.maps[col].items()}))
     rows = []
     for row in table.rows:
         cells = list(row)
@@ -282,58 +369,140 @@ def encode_categoricals(table: RawTable, schema: DatasetSchema) -> tuple[RawTabl
                     source_rows=table.source_rows), emap
 
 
-def _parse_numeric_cell(cell: str, row: int, column: str) -> float:
+def _parse_numeric_cell(cell: str) -> float:
+    """A numeric cell that ``float`` rejected: missing tokens are 0.0, else ValueError."""
     text = cell.strip()
     if text.lower() in MISSING_TOKENS:
         return 0.0
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataFormatError(
-            f"non-numeric cell {cell!r}", row=row, column=column
-        ) from None
-    if not np.isfinite(value):
+    return float(text)
+
+
+def _parse_boolean_cell(cell: str) -> float:
+    text = cell.strip().lower()
+    if text in TRUE_TOKENS:
+        return 1.0
+    if text in FALSE_TOKENS or text in MISSING_TOKENS:
         return 0.0
-    return value
+    raise ValueError(cell)
 
 
-def _numeric_column(table: RawTable, i: int) -> np.ndarray:
-    """Column ``i`` as float64; missing tokens are 0.0, NaN/inf stay for the caller.
+def _numbers(rows, cols: list[int]):
+    """(cells ``cols`` of each row as float64, row-major; (row, column) of the first bad cell).
 
-    ``float`` runs over the whole column in C. ``array.extend`` keeps what
-    it appended before a cell raised, and ``map`` resumes after that cell,
-    so only the rejected cells go through ``_parse_numeric_cell``.
+    Missing tokens are 0.0; NaN and inf stay for the caller. ``float`` runs
+    over every cell in C. ``array.extend`` keeps what it appended before a
+    cell raised, and ``map`` resumes after that cell, so only the rejected
+    cells go through ``_parse_numeric_cell``. The first cell that fails it
+    ends the parse.
     """
-    cells = table.column(i)
-    floats = map(float, cells)
+    n = len(cols)
+    cells = map(itemgetter(*cols), rows)  # a tuple per row; a bare cell when n is 1
+    floats = map(float, chain.from_iterable(cells) if n > 1 else cells)
     out = array("d")
     while True:
         try:
             out.extend(floats)
         except ValueError:
-            r = len(out)
-            out.append(_parse_numeric_cell(cells[r], table.source_row(r), table.columns[i]))
+            r, c = divmod(len(out), n)
+            try:
+                out.append(_parse_numeric_cell(rows[r][cols[c]]))
+            except ValueError:
+                return out, (r, cols[c])
         else:
-            return np.frombuffer(out, dtype=np.float64)
+            return out, None
 
 
-def _boolean_column(table: RawTable, i: int) -> np.ndarray:
-    """Column ``i`` as 1.0/0.0, each distinct token parsed once."""
-    cells = table.column(i)
-    # insertion order is first occurrence, so the first bad token is the earliest bad cell
-    decoded = dict.fromkeys(cells)
-    for token in decoded:
-        text = token.strip().lower()
-        if text in TRUE_TOKENS:
-            decoded[token] = 1.0
-        elif text in FALSE_TOKENS or text in MISSING_TOKENS:
-            decoded[token] = 0.0
-        else:
-            raise DataFormatError(
-                f"unrecognised Boolean token {token!r}",
-                row=table.source_row(cells.index(token)), column=table.columns[i],
-            )
-    return np.fromiter(map(decoded.__getitem__, cells), np.float64, len(cells))
+class _MatrixBuilder:
+    """The FeatureMatrix of a table's rows, parsed chunk by chunk.
+
+    ``columns`` are the table's columns. The label and attack-type columns
+    are not features; Boolean columns parse each distinct token once; the
+    ``categorical`` columns get first-seen ids, which ``finish`` remaps to
+    their lexicographic codes; every other column is numeric.
+    """
+
+    def __init__(self, columns: list[str], schema: DatasetSchema, categorical=()):
+        self.columns = columns
+        self.schema = schema
+        label = _column_index(columns, schema.label_column)
+        attack = None
+        if schema.attack_type_column is not None and schema.attack_type_column in columns:
+            attack = columns.index(schema.attack_type_column)
+        self.features = [i for i in range(len(columns)) if i not in (label, attack)]
+        self.position = {i: j for j, i in enumerate(self.features)}
+        self.categories = {columns.index(c): {} for c in dict.fromkeys(categorical)
+                           if c in columns}  # column index -> category -> first-seen id
+        bools = {c for c in schema.boolean_columns if c in columns}
+        self.booleans = [i for i in self.features if columns[i] in bools]
+        self.numeric = [i for i in self.features
+                        if columns[i] not in bools and i not in self.categories]
+        self.numeric_at = [self.position[i] for i in self.numeric]
+        self.label = itemgetter(label)
+        self.attack = None if attack is None else itemgetter(attack)
+        self.flags = {}      # Boolean token -> 1.0 or 0.0
+        self.is_attack = {}  # label token -> 1 or 0
+        self.stripped = {}   # attack-type token -> its stripped text
+        self.values = array("d")
+        self.labels = array("q")
+        self.attacks = []
+
+    def add(self, rows, source_rows) -> None:
+        """Parse ``rows``; ``source_rows[r]`` is the 0-based file row of ``rows[r]``.
+
+        Fails on the first bad cell in (row, column) order, naming its file
+        row and column, and appends nothing then.
+        """
+        block = np.empty((len(rows), len(self.features)))
+        bad = []  # (row, column index, message) of the first bad cell of each parse
+        if self.numeric:
+            numbers, where = _numbers(rows, self.numeric)
+            if where is None:
+                block[:, self.numeric_at] = np.frombuffer(numbers, dtype=np.float64).reshape(
+                    len(rows), len(self.numeric))
+            else:
+                r, i = where
+                bad.append((r, i, f"non-numeric cell {rows[r][i]!r}"))
+        for i in self.booleans:
+            cells = list(map(itemgetter(i), rows))
+            try:
+                flags = _decoded(cells, self.flags, _parse_boolean_cell)
+            except ValueError as exc:
+                token = exc.args[0]
+                bad.append((cells.index(token), i, f"unrecognised Boolean token {token!r}"))
+            else:
+                block[:, self.position[i]] = np.fromiter(flags, np.float64, len(cells))
+        if bad:
+            r, i, message = min(bad)
+            raise DataFormatError(message, row=source_rows[r], column=self.columns[i])
+        for i, ids in self.categories.items():
+            cells = list(map(itemgetter(i), rows))
+            first_seen = _decoded(cells, ids, lambda token: len(ids))
+            block[:, self.position[i]] = np.fromiter(first_seen, np.float64, len(cells))
+        block[~np.isfinite(block)] = 0.0
+        self.values.frombytes(block.reshape(-1).view(np.uint8))
+        cells = list(map(self.label, rows))
+        self.labels.extend(_decoded(
+            cells, self.is_attack, lambda t: int(self.schema.is_attack_label(t.strip()))))
+        if self.attack is not None:
+            self.attacks.extend(_decoded(list(map(self.attack, rows)), self.stripped, str.strip))
+
+    def finish(self) -> tuple[FeatureMatrix, EncoderMap]:
+        """The matrix of every row added, with the categorical codes in place."""
+        values = np.frombuffer(self.values, dtype=np.float64).reshape(
+            len(self.labels), len(self.features))
+        emap = EncoderMap()
+        for i, ids in self.categories.items():
+            emap.maps[self.columns[i]] = codes = _lexicographic(ids)
+            by_id = np.fromiter(map(codes.__getitem__, ids), np.float64, len(ids))
+            j = self.position[i]
+            values[:, j] = by_id[values[:, j].astype(np.intp)]
+        fm = FeatureMatrix(
+            values=values,
+            feature_names=[self.columns[i] for i in self.features],
+            labels=np.frombuffer(self.labels, dtype=np.int64),
+            attack_types=None if self.attack is None else np.array(self.attacks, dtype=object),
+        )
+        return fm, emap
 
 
 def clean_values(table: RawTable, schema: DatasetSchema) -> FeatureMatrix:
@@ -343,53 +512,40 @@ def clean_values(table: RawTable, schema: DatasetSchema) -> FeatureMatrix:
     the label column maps to {0,1}. Attack-type strings, when declared, are
     carried through unchanged for the per-attack detection-rate breakdown.
     """
-    label_idx = table.column_index(schema.label_column)
-    attack_idx = None
-    if schema.attack_type_column is not None and schema.attack_type_column in table.columns:
-        attack_idx = table.column_index(schema.attack_type_column)
-    bool_cols = {c for c in schema.boolean_columns if c in table.columns}
-    feature_idx = [i for i in range(len(table.columns)) if i not in (label_idx, attack_idx)]
-
-    n = table.n_rows
-    values = np.empty((n, len(feature_idx)), dtype=np.float64)
-    errors = []
-    for j, i in enumerate(feature_idx):
-        parse = _boolean_column if table.columns[i] in bool_cols else _numeric_column
-        try:
-            values[:, j] = parse(table, i)
-        except DataFormatError as exc:
-            errors.append((exc.row, j, exc))
-    if errors:
-        # each column reports its first bad cell; name the first in file order
-        raise min(errors, key=itemgetter(0, 1))[2]
-    values[~np.isfinite(values)] = 0.0
-
-    cells = table.column(label_idx)
-    is_attack = {t: int(schema.is_attack_label(t.strip())) for t in set(cells)}
-    labels = np.fromiter(map(is_attack.__getitem__, cells), np.int64, n)
-    attacks = None
-    if attack_idx is not None:
-        cells = table.column(attack_idx)
-        stripped = {t: t.strip() for t in set(cells)}
-        attacks = np.fromiter(map(stripped.__getitem__, cells), object, n)
-
-    return FeatureMatrix(
-        values=values,
-        feature_names=[table.columns[i] for i in feature_idx],
-        labels=labels,
-        attack_types=attacks,
-    )
+    builder = _MatrixBuilder(table.columns, schema)
+    builder.add(table.rows, range(table.n_rows) if table.source_rows is None
+                else table.source_rows)
+    return builder.finish()[0]
 
 
 def load_feature_matrix(
     path, schema: DatasetSchema
 ) -> tuple[FeatureMatrix, EncoderMap]:
-    """Run the whole ingestion pipeline on one file."""
-    table = load_csv(path, schema)
-    table = drop_identifiers(table, schema)
-    table = deduplicate(table)
-    table, emap = encode_categoricals(table, schema)
-    return clean_values(table, schema), emap
+    """Run the whole ingestion pipeline on one file, ``CHUNK_ROWS`` rows at a time.
+
+    Each chunk is width-checked, stripped of its identifier cells,
+    deduplicated against the digests of every earlier row and parsed
+    before the next is read. After a bad cell the rest of the file is only
+    width-checked, so that a ragged row anywhere wins.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path, schema)
+        columns, take = _kept_columns(header, schema)
+        builder = _MatrixBuilder(columns, schema, schema.categorical_columns)
+        seen = set()
+        error = None
+        for start, chunk in _chunks(reader, len(header), CHUNK_ROWS):
+            if error is None:
+                rows = list(map(take, chunk))
+                kept = _new_rows(rows, len(columns), seen)
+                try:
+                    builder.add([rows[r] for r in kept], [start + r for r in kept])
+                except DataFormatError as exc:
+                    error = exc
+    if error is not None:
+        raise error
+    return builder.finish()
 
 
 def dump_feature_matrix(fm: FeatureMatrix, path) -> None:

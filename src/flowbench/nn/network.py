@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TrainingDiverged
+from ..ingest import row_weights
 from .layers import (
     AvgPool1D, Conv1D, Dense, Dropout, Flatten, LSTM, Layer, SeqFromVec,
 )
@@ -166,6 +167,8 @@ def fit_network(
     """Mini-batch Adam on BCE; aborts on the first non-finite loss.
 
     Batches are shuffled and dropout masks drawn from cfg.seed's streams.
+    ``sample_weight`` holds one finite, non-negative loss weight per row,
+    checked once before the first step.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -174,6 +177,8 @@ def fit_network(
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty matrix")
+    if sample_weight is not None:
+        sample_weight = row_weights(sample_weight, n)
     _, rng_shuffle, rng_dropout = seed_streams(cfg.seed)
     adam = Adam([net.flat], learning_rate=cfg.learning_rate)
     history = TrainHistory()

@@ -19,7 +19,7 @@ from flowbench.persist import load_model, save_model
 from flowbench.preprocess import ClassWeights
 
 from helpers import blobs
-from tree_reference import reference_best_split, reference_dt_fit
+from tree_reference import reference_best_split, reference_candidates, reference_dt_fit
 
 
 def matrix(values, labels):
@@ -304,10 +304,10 @@ class TestPresortedTree:
     @pytest.mark.parametrize("block", [1, tree.SEARCH_BLOCK])
     def test_matches_reference_where_weights_swamp_the_sums(self, monkeypatch, block):
         # with weights 1e17 and 1, a side's weight can round to 0 and its Gini
-        # to NaN; a per-feature scan ranks such a feature in its own way
+        # to NaN; such a candidate is no split, wherever it lies in the search
         monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
         rng = np.random.default_rng(13)
-        nan_splits = 0
+        nan_nodes = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(400):
                 n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
@@ -315,10 +315,13 @@ class TestPresortedTree:
                 y = rng.integers(0, 2, n)
                 w = np.where(rng.random(n) < 0.4, 1e17, 1.0)
                 want = reference_best_split(x, y, w)
-                assert repr(best_split(x, y, w)) == repr(want)
-                nan_splits += want is not None and np.isnan(want[2])
+                got = best_split(x, y, w)
+                assert repr(got) == repr(want)
+                assert got is None or not np.isnan(got[2])
+                nan_nodes += any(np.isnan(reference_candidates(x, y, w, f)[2]).any()
+                                 for f in range(d))
                 assert_same_tree(dt_fit(matrix(x, y), w), reference_dt_fit(matrix(x, y), w))
-        assert nan_splits > 0
+        assert nan_nodes > 0
 
     def test_best_split_called_once_per_mixed_node(self, monkeypatch):
         calls = []
@@ -344,6 +347,42 @@ class TestPresortedTree:
         lists = tree.presort(x)
         assert lists.tolist() == [[0, 1, 2, 3], [3, 1, 2, 0], [2, 3, 0, 1]]
         assert best_split(x, y, np.ones(4), lists) == (0, 1.5, 0.0)
+
+
+class TestTreeProgress:
+    """Every fit ends: each split sends rows to both children."""
+
+    @pytest.mark.parametrize("a, b, threshold", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+         np.nextafter(1.0, 2.0)),  # (a + b) / 2 rounds up to b
+        (1e308, 1.7e308, 1.35e308),  # a + b overflows
+        (-1.7e308, 1.7e308, 0.0),
+        (5e-324, 1e-323, 5e-324),  # subnormal: (a + b) / 2 rounds to b too
+    ], ids=["adjacent", "near-max", "full-range", "subnormal"])
+    def test_fit_ends_on_hard_neighbours(self, a, b, threshold):
+        fm = matrix([[a], [b], [a]], [0, 1, 0])
+        assert best_split(fm.values, fm.labels, None) == (0, threshold, 0.0)
+        model = dt_fit(fm)
+        assert_same_tree(model, reference_dt_fit(fm))
+        assert model.threshold[0] == threshold
+        assert model.counts.tolist() == [[2, 1], [2, 0], [0, 1]]
+        assert dt_score(model, fm).tolist() == [0.0, 1.0, 0.0]
+
+    def test_fit_ends_on_constant_columns(self):
+        x = np.full((6, 2), 3.0)
+        fm = matrix(x, [0, 1, 0, 1, 1, 0])
+        assert best_split(x, fm.labels, None) is None
+        model = dt_fit(fm)
+        assert model.feature.tolist() == [-1] and model.counts.tolist() == [[3, 3]]
+        x = np.column_stack([x[:, 0], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
+        model = dt_fit(matrix(x, fm.labels))
+        assert model.feature.tolist() == [1, -1, -1] and model.threshold[0] == 0.5
+
+    def test_split_leaving_a_child_empty_makes_a_leaf(self, monkeypatch):
+        # the fit's backstop, should a threshold ever send every row one way
+        monkeypatch.setattr(tree, "best_split", lambda *args: (0, np.inf, 0.0))
+        model = dt_fit(matrix([[0.0], [1.0]], [0, 1]))
+        assert model.feature.tolist() == [-1] and model.counts.tolist() == [[1, 1]]
 
 
 @pytest.mark.parametrize("fit", [dt_fit, lr_fit], ids=["dt", "lr"])

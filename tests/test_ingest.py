@@ -1,13 +1,17 @@
 import csv
 import json
 import re
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbench import ingest
 from flowbench.errors import DataFormatError, SchemaError
 from flowbench.ingest import (
     FALSE_TOKENS, MISSING_TOKENS, TRUE_TOKENS, FeatureMatrix, RawTable, clean_values,
@@ -143,6 +147,27 @@ class TestDeduplicate:
         twice = deduplicate(once)
         assert once.rows == twice.rows
         assert once.rows == [rows[1], rows[0], rows[2]]
+
+    def test_seen_digests_carry_across_tables(self):
+        rows = [tuple(r) for r in tiny_rows()]
+        seen = set()
+        first = deduplicate(load_table(rows[:2]), seen)
+        second = deduplicate(load_table([rows[1], rows[2], rows[0]]), seen)
+        assert first.rows == rows[:2] and second.rows == [rows[2]]
+        assert second.source_rows == [1] and len(seen) == 3
+
+    def test_nul_inside_cells_keeps_rows_apart(self, tmp_path):
+        # both rows join with NUL to "x\0y\0z"; the csv reader keeps NUL in a cell
+        table = RawTable(columns=["a", "b"], rows=[("x\0y", "z"), ("x", "y\0z"), ("x", "y\0z")])
+        assert deduplicate(table).rows == table.rows[:2]
+        rows = [list(r) for r in tiny_rows()[:2]]
+        rows[1][2:] = rows[0][2:5] + ["bad\0dos", ""]
+        rows[0][5:] = ["bad", "dos\0"]
+        path = tmp_path / "nul.csv"
+        ingest.write_csv(path, TINY_HEADER, rows)
+        fm, _ = load_feature_matrix(path, TINY)
+        assert fm.labels.tolist() == [1, 0]
+        assert list(fm.attack_types) == ["dos\0", ""]
 
 
 class TestEncodeCategoricals:
@@ -366,6 +391,124 @@ class TestReferenceEquivalence:
         got = load_feature_matrix(path, schema)
         assert_same_as_reference(got, reference_feature_matrix(header, rows, schema))
         assert got[0].n_samples == result.unique_rows
+
+
+def streamed(columns, rows, schema, chunk_rows):
+    """load_feature_matrix on the rows written as a CSV file, ``chunk_rows`` rows per chunk."""
+    saved = ingest.CHUNK_ROWS
+    ingest.CHUNK_ROWS = chunk_rows
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "t.csv"
+            ingest.write_csv(path, columns, rows)
+            return load_feature_matrix(path, schema)
+    finally:
+        ingest.CHUNK_ROWS = saved
+
+
+CHUNK_SIZES = [1, 3, ingest.CHUNK_ROWS]
+
+
+# The chunked stream on written tables against the per-cell reference loop
+# (module-level: hypothesis runs a parametrized method from several executors)
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(rows=raw_tables())
+def test_streamed_same_matrix_and_maps(chunk_rows, rows):
+    assert_same_as_reference(streamed(PROP_HEADER, rows, PROP, chunk_rows),
+                             reference_feature_matrix(PROP_HEADER, rows, PROP))
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(lambda k: raw_tables(bad_cells=k)))
+def test_streamed_same_error(chunk_rows, rows):
+    with pytest.raises(DataFormatError) as want:
+        reference_feature_matrix(PROP_HEADER, rows, PROP)
+    with pytest.raises(DataFormatError) as got:
+        streamed(PROP_HEADER, rows, PROP, chunk_rows)
+    assert str(got.value) == str(want.value)
+    assert (got.value.row, got.value.column) == (want.value.row, want.value.column)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"chunk{n}")
+def chunk_rows(request, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", request.param)
+    return request.param
+
+
+class TestChunkBoundaries:
+    """Rows that meet across chunks: duplicates, categories, errors, no rows at all."""
+
+    def load(self, tmp_path, rows, header=TINY_HEADER):
+        path = write_csv(tmp_path / "t.csv", header, rows)
+        return load_feature_matrix(path, TINY)
+
+    def test_duplicate_of_an_earlier_chunk_dropped(self, tmp_path, chunk_rows):
+        rows = tiny_rows() + [["9", "10.9.9.9", *tiny_rows()[0][2:]]]  # row 0 again, new ids
+        fm, emap = self.load(tmp_path, rows)
+        assert fm.n_samples == 3
+        assert_same_as_reference((fm, emap), reference_feature_matrix(TINY_HEADER, rows, TINY))
+
+    def test_category_first_seen_in_a_later_chunk(self, tmp_path, chunk_rows):
+        rows = tiny_rows() * 2
+        for r, proto in enumerate(["udp", "udp", "tcp", "udp", "tcp", "icmp"]):
+            rows[r] = [str(r), rows[r][1], proto, rows[r][3], str(r), *rows[r][5:]]
+        fm, emap = self.load(tmp_path, rows)
+        assert emap.maps == {"proto": {"icmp": 0, "tcp": 1, "udp": 2}}
+        assert fm.values[:, fm.feature_names.index("proto")].tolist() == [2, 2, 1, 2, 1, 0]
+        assert_same_as_reference((fm, emap), reference_feature_matrix(TINY_HEADER, rows, TINY))
+
+    def test_ragged_row_in_chunk_three_wins_over_bad_cell_in_chunk_one(
+            self, tmp_path, chunk_rows):
+        rows = [[str(r), *row[1:]] for r, row in enumerate(tiny_rows() * 3)]
+        rows[0][4] = "oops"
+        ragged = 2 * chunk_rows  # the first row of the third chunk
+        rows[ragged] = rows[ragged][:-1]
+        with pytest.raises(DataFormatError) as info:
+            self.load(tmp_path, rows)
+        assert str(info.value) == f"ragged row: expected 7 cells, got 6 (row {ragged})"
+
+    def test_first_bad_cell_of_the_file_named_across_chunks(self, tmp_path, chunk_rows):
+        rows = [[str(r), *row[1:]] for r, row in enumerate(tiny_rows() * 3)]
+        rows[8][3] = "maybe"
+        rows[4][4] = "oops"
+        rows[4][3] = "nah"  # same row, earlier column
+        with pytest.raises(DataFormatError) as info:
+            self.load(tmp_path, rows)
+        assert str(info.value) == "unrecognised Boolean token 'nah' (row 4, column 'flag')"
+
+    def test_header_only_file(self, tmp_path, chunk_rows):
+        fm, emap = self.load(tmp_path, [])
+        assert fm.values.shape == (0, 3) and fm.labels.shape == (0,)
+        assert fm.attack_types.shape == (0,)
+        assert emap.maps == {"proto": {}}
+        assert_same_as_reference((fm, emap), reference_feature_matrix(TINY_HEADER, [], TINY))
+
+
+def test_peak_memory_is_a_few_output_matrices(tmp_path):
+    # The stream holds one chunk of text and the digests of the rows seen
+    # beside the growing matrix; a whole-file string table takes about 11x
+    # the matrix here.
+    rng = np.random.default_rng(0)
+    n, d = 10_000, 12
+    attack = (rng.random(n) < 0.3).tolist()
+    rows = ([i, *values, proto, flag, "bad" if a else "ok", "dos" if a else "-"]
+            for i, values, proto, flag, a in zip(
+                range(n), np.round(rng.normal(size=(n, d)), 6).tolist(),
+                rng.choice(["tcp", "udp", "icmp"], n).tolist(),
+                rng.choice(["T", "F"], n).tolist(), attack))
+    path = tmp_path / "wide.csv"
+    ingest.write_csv(path, ["fid", *(f"f{j}" for j in range(d)), "proto", "flag", "label",
+                            "kind"], rows)
+    tracemalloc.start()
+    try:
+        fm, _ = load_feature_matrix(path, TINY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fm.values.shape == (n, d + 2)
+    assert peak < 5 * fm.values.nbytes
 
 
 class TestFeatureMatrix:

@@ -72,6 +72,20 @@ class TestTrain:
         assert err.value.epoch == 0
         assert err.value.batch == 0
 
+    @pytest.mark.parametrize("weights, message", [
+        ([-1.0, np.nan], r"sample_weight\[0\] = -1.0 is not finite and non-negative"),
+        ([1.0, np.nan], r"sample_weight\[1\] = nan is not finite and non-negative"),
+        ([1.0, 1.0, 1.0], r"sample_weight has shape \(3,\), expected \(2,\)"),
+    ], ids=["negative", "nan", "too-long"])
+    def test_bad_sample_weight_rejected_before_the_first_step(self, weights, message):
+        net = build_network(SMALL_DFF, 2, rng=np.random.default_rng(0))
+        before = net.flat.copy()
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            fit_network(net, x, np.array([0.0, 1.0]), TrainConfig(epochs=1, batch_size=2),
+                        sample_weight=np.array(weights))
+        assert net.flat.tobytes() == before.tobytes()
+
 
 def hand_run(specs, x, targets, cfg, sample_weight=None):
     """The training loop written out on the SeedSequence(seed).spawn(3) streams."""

@@ -2,7 +2,10 @@
 
 This is the first exact CART of flowbench: every node sorts each of its
 features again with a stable ``argsort``. Tests require the presorted fit
-to give byte-identical ``TreeModel`` arrays.
+to give byte-identical ``TreeModel`` arrays. Like the fit, it takes the
+threshold as ``a / 2 + b / 2`` (``a`` when that rounds to ``b`` or
+overflows), treats a NaN weighted Gini as no split, and leaves a node a
+leaf when a split would leave a child empty.
 """
 
 import numpy as np
@@ -20,6 +23,34 @@ def _gini(weight0: float, weight1: float) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
+def reference_candidates(x, y, w, feature):
+    """(sorted values, cut positions, weighted Gini of each cut) of one feature.
+
+    A cut at position k separates sorted rows ..k from k+1..; a weighted
+    Gini is NaN where a side's weight rounded to 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    w = np.ones(x.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    total_w = w.sum()
+    total_w1 = float(w[y == 1].sum())
+    total_w0 = total_w - total_w1
+    order = np.argsort(x[:, feature], kind="stable")
+    xs = x[order, feature]
+    ws = w[order]
+    w1s = ws * (y[order] == 1)
+    cut = np.flatnonzero(xs[:-1] != xs[1:])
+    left_w = np.cumsum(ws)[cut]
+    left_w1 = np.cumsum(w1s)[cut]
+    left_w0 = left_w - left_w1
+    right_w1 = total_w1 - left_w1
+    right_w0 = total_w0 - left_w0
+    right_w = total_w - left_w
+    g_left = 1.0 - (left_w0 / left_w) ** 2 - (left_w1 / left_w) ** 2
+    g_right = 1.0 - (right_w0 / right_w) ** 2 - (right_w1 / right_w) ** 2
+    return xs, cut, (left_w * g_left + right_w * g_right) / total_w
+
+
 def reference_best_split(x, y, w):
     """Exhaustive best (feature, threshold) by weighted Gini, or None.
 
@@ -29,33 +60,22 @@ def reference_best_split(x, y, w):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     w = np.ones(x.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
-    total_w = w.sum()
     total_w1 = float(w[y == 1].sum())
-    total_w0 = total_w - total_w1
-    parent = _gini(total_w0, total_w1)
+    parent = _gini(w.sum() - total_w1, total_w1)
 
     best = None
     for feature in range(x.shape[1]):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        ws = w[order]
-        w1s = ws * (y[order] == 1)
-        cut = np.flatnonzero(xs[:-1] != xs[1:])
+        xs, cut, weighted = reference_candidates(x, y, w, feature)
         if cut.size == 0:
             continue
-        left_w = np.cumsum(ws)[cut]
-        left_w1 = np.cumsum(w1s)[cut]
-        left_w0 = left_w - left_w1
-        right_w1 = total_w1 - left_w1
-        right_w0 = total_w0 - left_w0
-        right_w = total_w - left_w
-        g_left = 1.0 - (left_w0 / left_w) ** 2 - (left_w1 / left_w) ** 2
-        g_right = 1.0 - (right_w0 / right_w) ** 2 - (right_w1 / right_w) ** 2
-        weighted = (left_w * g_left + right_w * g_right) / total_w
+        weighted[np.isnan(weighted)] = np.inf  # a NaN Gini is no split
         pick = int(np.argmin(weighted))  # first minimum = lowest threshold
         if best is None or weighted[pick] < best[2]:
-            threshold = (xs[cut[pick]] + xs[cut[pick] + 1]) / 2.0
-            best = (feature, float(threshold), float(weighted[pick]))
+            a, b = float(xs[cut[pick]]), float(xs[cut[pick] + 1])
+            threshold = a / 2.0 + b / 2.0  # cannot overflow; a when it rounds to b
+            if threshold == b or not np.isfinite(threshold):
+                threshold = a
+            best = (feature, threshold, float(weighted[pick]))
     if best is None or best[2] >= parent:
         return None
     return best
@@ -83,6 +103,9 @@ def reference_dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
             continue
         feature[node], threshold[node], _ = found
         go_left = x[idx, feature[node]] <= threshold[node]
+        if go_left.all() or not go_left.any():
+            feature[node], threshold[node] = -1, 0.0
+            continue
         for children, rows in ((left, idx[go_left]), (right, idx[~go_left])):
             children[node] = len(feature)
             feature.append(-1)
