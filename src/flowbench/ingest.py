@@ -22,9 +22,9 @@ at the end one remap per column turns them into codes in lexicographic
 order of the category text.
 
 The named steps work on a ``RawTable`` of string cells and share the
-stream's chunk reader, digest dedup and parse kernels: ``load_csv`` reads
-the whole file as one chunk and ``deduplicate`` is the one-chunk case of
-the cross-chunk dedup.
+stream's chunk reader, digest dedup and parse kernels: ``load_csv``
+collects the reader's chunks into one table and ``deduplicate`` is the
+one-chunk case of the cross-chunk dedup.
 
 Errors name the row as the 0-based data row of the file (the header is
 not counted), whatever rows deduplication removed before it, and the
@@ -207,13 +207,13 @@ def _read_header(reader, path, schema: DatasetSchema) -> list[str]:
     return header
 
 
-def _chunks(reader, width: int, size: int | None):
-    """Yield (first data row, rows) for each run of ``size`` rows; None reads all at once.
+def _chunks(reader, width: int):
+    """Yield (first data row, rows) for each run of ``CHUNK_ROWS`` rows.
 
     Fails on the first ragged row, naming its 0-based data row.
     """
     start = 0
-    while rows := list(islice(reader, size)):
+    while rows := list(islice(reader, CHUNK_ROWS)):
         if not all(map(width.__eq__, map(len, rows))):
             r = next(r for r, row in enumerate(rows) if len(row) != width)
             raise DataFormatError(
@@ -234,7 +234,9 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, schema)
-        rows = [tuple(row) for _, chunk in _chunks(reader, len(header), None) for row in chunk]
+        rows = []
+        for _, chunk in _chunks(reader, len(header)):
+            rows.extend(map(tuple, chunk))
     return RawTable(columns=header, rows=rows)
 
 
@@ -304,17 +306,16 @@ def _new_rows(rows, width: int, seen: set) -> list[int]:
     return kept
 
 
-def deduplicate(table: RawTable, seen: set | None = None) -> RawTable:
+def deduplicate(table: RawTable) -> RawTable:
     """Keep the first occurrence of each distinct row, preserving order.
 
-    Rows are equal when their cells have the same exact text. ``seen``
-    holds the digests of rows met before this table (see ``_row_digests``);
-    a row whose digest is in it is dropped, and each kept row's digest is
-    added. With n distinct rows the chance that two share a digest, so that
-    one is dropped wrongly, is below n**2 / 2**129. Each kept row keeps its
-    source row, so later errors name the file's row.
+    Rows are equal when their cells have the same exact text; they are
+    compared by digest (see ``_row_digests``). With n distinct rows the
+    chance that two share a digest, so that one is dropped wrongly, is
+    below n**2 / 2**129. Each kept row keeps its source row, so later
+    errors name the file's row.
     """
-    kept = _new_rows(table.rows, len(table.columns), set() if seen is None else seen)
+    kept = _new_rows(table.rows, len(table.columns), set())
     return RawTable(
         columns=list(table.columns),
         rows=[table.rows[r] for r in kept],
@@ -346,19 +347,26 @@ def _lexicographic(categories) -> dict[str, int]:
     return {cat: code for code, cat in enumerate(sorted(categories))}
 
 
+def _categorical(columns: list[str], schema: DatasetSchema) -> list[int]:
+    """Indices of the schema's categorical columns present in ``columns``, each once."""
+    return [columns.index(c) for c in dict.fromkeys(schema.categorical_columns)
+            if c in columns]
+
+
 def encode_categoricals(table: RawTable, schema: DatasetSchema) -> tuple[RawTable, EncoderMap]:
     """Replace categorical strings with integer codes.
 
     Codes are assigned 0,1,2,... in lexicographic order of the category
-    strings, so identical data always yields identical maps.
+    strings, so identical data always yields identical maps. The steps pass
+    string cells on, so each code is written back as its text for
+    ``clean_values`` to parse; ``load_feature_matrix`` holds no text table
+    and instead remaps first-seen ids to the same codes in ``_MatrixBuilder``.
     """
     emap = EncoderMap()
     coders = []  # (column index, category -> code text)
-    for col in dict.fromkeys(schema.categorical_columns):  # a repeated name encodes once
-        if col in table.columns:
-            i = table.column_index(col)
-            emap.maps[col] = _lexicographic(set(table.column(i)))
-            coders.append((i, {cat: str(code) for cat, code in emap.maps[col].items()}))
+    for i in _categorical(table.columns, schema):
+        emap.maps[table.columns[i]] = codes = _lexicographic(set(table.column(i)))
+        coders.append((i, {cat: str(code) for cat, code in codes.items()}))
     rows = []
     for row in table.rows:
         cells = list(row)
@@ -416,12 +424,13 @@ class _MatrixBuilder:
     """The FeatureMatrix of a table's rows, parsed chunk by chunk.
 
     ``columns`` are the table's columns. The label and attack-type columns
-    are not features; Boolean columns parse each distinct token once; the
-    ``categorical`` columns get first-seen ids, which ``finish`` remaps to
-    their lexicographic codes; every other column is numeric.
+    are not features; Boolean columns parse each distinct token once; when
+    ``categorical`` is true, the schema's categorical columns get first-seen
+    ids, which ``finish`` remaps to their lexicographic codes; every other
+    column is numeric.
     """
 
-    def __init__(self, columns: list[str], schema: DatasetSchema, categorical=()):
+    def __init__(self, columns: list[str], schema: DatasetSchema, categorical: bool = False):
         self.columns = columns
         self.schema = schema
         label = _column_index(columns, schema.label_column)
@@ -430,8 +439,8 @@ class _MatrixBuilder:
             attack = columns.index(schema.attack_type_column)
         self.features = [i for i in range(len(columns)) if i not in (label, attack)]
         self.position = {i: j for j, i in enumerate(self.features)}
-        self.categories = {columns.index(c): {} for c in dict.fromkeys(categorical)
-                           if c in columns}  # column index -> category -> first-seen id
+        # column index -> category -> first-seen id
+        self.categories = {i: {} for i in _categorical(columns, schema)} if categorical else {}
         bools = {c for c in schema.boolean_columns if c in columns}
         self.booleans = [i for i in self.features if columns[i] in bools]
         self.numeric = [i for i in self.features
@@ -532,10 +541,10 @@ def load_feature_matrix(
         reader = csv.reader(fh)
         header = _read_header(reader, path, schema)
         columns, take = _kept_columns(header, schema)
-        builder = _MatrixBuilder(columns, schema, schema.categorical_columns)
+        builder = _MatrixBuilder(columns, schema, categorical=True)
         seen = set()
         error = None
-        for start, chunk in _chunks(reader, len(header), CHUNK_ROWS):
+        for start, chunk in _chunks(reader, len(header)):
             if error is None:
                 rows = list(map(take, chunk))
                 kept = _new_rows(rows, len(columns), seen)

@@ -148,14 +148,6 @@ class TestDeduplicate:
         assert once.rows == twice.rows
         assert once.rows == [rows[1], rows[0], rows[2]]
 
-    def test_seen_digests_carry_across_tables(self):
-        rows = [tuple(r) for r in tiny_rows()]
-        seen = set()
-        first = deduplicate(load_table(rows[:2]), seen)
-        second = deduplicate(load_table([rows[1], rows[2], rows[0]]), seen)
-        assert first.rows == rows[:2] and second.rows == [rows[2]]
-        assert second.source_rows == [1] and len(seen) == 3
-
     def test_nul_inside_cells_keeps_rows_apart(self, tmp_path):
         # both rows join with NUL to "x\0y\0z"; the csv reader keeps NUL in a cell
         table = RawTable(columns=["a", "b"], rows=[("x\0y", "z"), ("x", "y\0z"), ("x", "y\0z")])
@@ -477,6 +469,17 @@ class TestChunkBoundaries:
         with pytest.raises(DataFormatError) as info:
             self.load(tmp_path, rows)
         assert str(info.value) == "unrecognised Boolean token 'nah' (row 4, column 'flag')"
+
+    def test_load_csv_reads_every_chunk(self, tmp_path, chunk_rows):
+        rows = [[str(r), *row[1:]] for r, row in enumerate(tiny_rows() * 3)]
+        path = write_csv(tmp_path / "t.csv", TINY_HEADER, rows)
+        assert load_csv(path, TINY).rows == [tuple(row) for row in rows]
+        ragged = 2 * chunk_rows  # the first row of the third chunk
+        rows[ragged] = rows[ragged][:-1]
+        write_csv(path, TINY_HEADER, rows)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, TINY)
+        assert info.value.row == ragged
 
     def test_header_only_file(self, tmp_path, chunk_rows):
         fm, emap = self.load(tmp_path, [])
