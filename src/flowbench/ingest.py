@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from hashlib import blake2b
 from itertools import chain, islice, repeat
+from numbers import Integral
 from operator import itemgetter, methodcaller
 
 import numpy as np
@@ -168,6 +169,13 @@ def model_input(m, n_features: int) -> np.ndarray:
             f"width mismatch: data has {x.shape[1]} features, model expects {n_features}"
         )
     return x
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float, string or None raises, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def row_weights(sample_weight, n_rows: int, *, allow_zero: bool = True) -> np.ndarray:

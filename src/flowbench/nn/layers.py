@@ -56,7 +56,9 @@ def sigmoid(z):
     # exp only ever sees -|z|, so it cannot overflow
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    # numerator 1 where z >= 0 (e <= 1 there) and e elsewhere, NaN kept;
+    # a max over the mask is cheaper than np.where with a random mask
+    return np.maximum(e, z >= 0) / d
 
 
 def _activate(name, z):
@@ -87,6 +89,12 @@ class Layer:
     ``Network`` rebinds these attributes as views into its flat buffers, so
     a layer must write its gradients in place (``self.dw[...] = ...``) and
     never rebind them.
+
+    ``backward(grad)`` takes d(loss)/d(output) of the last ``forward``,
+    writes the parameter gradients and returns d(loss)/d(input). A layer
+    with parameters also takes ``input_grad=False``: it then writes only
+    its parameter gradients and returns None, which training uses for the
+    first such layer, whose input gradient nothing reads.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
@@ -94,7 +102,7 @@ class Layer:
     def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
     def params(self):
@@ -122,11 +130,11 @@ class Dense(Layer):
         self._out = _activate(self.activation, x @ self.w + self.b)
         return self._out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         dz = grad * _activation_grad(self.activation, self._out)
         self.dw[...] = self._x.T @ dz
         self.db[...] = dz.sum(axis=0)
-        return dz @ self.w.T
+        return dz @ self.w.T if input_grad else None
 
 
 class Conv1D(Layer):
@@ -134,7 +142,7 @@ class Conv1D(Layer):
 
     Computed as im2col plus one matmul: row (i, t) of ``cols`` holds the k
     input steps t..t+k-1, channels innermost, which is the (k, c_in) order
-    of the flattened weight.
+    of the flattened weight. With k = 1 that is the input itself, uncopied.
     """
 
     PARAMS = (("w", "dw"), ("b", "db"))
@@ -160,21 +168,29 @@ class Conv1D(Layer):
             raise ValueError(f"sequence length {t} shorter than kernel {k}")
         out_len = t - k + 1
         self._in_shape = x.shape
-        self._cols = np.concatenate(
-            [x[:, j:j + out_len, :] for j in range(k)], axis=2
-        ).reshape(n * out_len, k * c)
+        if k == 1:
+            self._cols = x.reshape(n * t, c)
+        else:
+            self._cols = np.concatenate(
+                [x[:, j:j + out_len, :] for j in range(k)], axis=2
+            ).reshape(n * out_len, k * c)
         z = self._cols @ self.w.reshape(k * c, -1) + self.b
         self._out = _activate(self.activation, z.reshape(n, out_len, -1))
         return self._out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         dz = grad * _activation_grad(self.activation, self._out)
         n, out_len, f = dz.shape
         dz2 = dz.reshape(n * out_len, f)
         self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
         self.db[...] = dz.sum(axis=(0, 1))
+        if not input_grad:
+            return None
+        dcols = dz2 @ self.w.reshape(-1, f).T
+        if self.kernel_size == 1:
+            return dcols.reshape(self._in_shape)
         c = self._in_shape[2]
-        dcols = (dz2 @ self.w.reshape(-1, f).T).reshape(n, out_len, self.kernel_size, c)
+        dcols = dcols.reshape(n, out_len, self.kernel_size, c)
         dx = np.zeros(self._in_shape)
         for j in range(self.kernel_size):
             dx[:, j:j + out_len, :] += dcols[:, :, j, :]
@@ -182,7 +198,12 @@ class Conv1D(Layer):
 
 
 class AvgPool1D(Layer):
-    """Non-overlapping average pooling; a trailing remainder is dropped."""
+    """Non-overlapping average pooling; a trailing remainder is dropped.
+
+    Forward adds the p strided slices to 0.0 in window order and divides by
+    p, the sum ``mean`` takes over a length-p axis; backward writes grad / p
+    into every window slot through a reshaped view of dx.
+    """
 
     def __init__(self, pool_size):
         self.pool_size = pool_size
@@ -194,13 +215,21 @@ class AvgPool1D(Layer):
         if out_len == 0:
             raise ValueError(f"sequence length {t} shorter than pool {self.pool_size}")
         self._in_shape = x.shape
-        trimmed = x[:, : out_len * self.pool_size, :]
-        return trimmed.reshape(n, out_len, self.pool_size, c).mean(axis=2)
+        p = self.pool_size
+        covered = out_len * p
+        total = x[:, 0:covered:p, :] + 0.0  # mean's sum starts at 0.0: -0.0 becomes 0.0
+        for j in range(1, p):
+            total += x[:, j:covered:p, :]
+        total /= p
+        return total
 
     def backward(self, grad):
-        dx = np.zeros(self._in_shape)
-        covered = grad.shape[1] * self.pool_size
-        dx[:, :covered, :] = np.repeat(grad, self.pool_size, axis=1) / self.pool_size
+        n, out_len, c = grad.shape
+        p = self.pool_size
+        covered = out_len * p
+        # a remainder of the input gets no gradient, so only then zero-fill
+        dx = (np.empty if covered == self._in_shape[1] else np.zeros)(self._in_shape)
+        dx[:, :covered, :].reshape(n, out_len, p, c)[...] = (grad / p)[:, :, None, :]
         return dx
 
 
@@ -225,17 +254,16 @@ class LSTM(Layer):
         self._steps = None
         self._in_shape = None
 
-    def _gates(self, z):
+    def _gates(self, s):
+        """The input, forget and output gates: views into the (n, 4u) sigmoid block."""
         u = self.units
-        return (
-            sigmoid(z[:, :u]), sigmoid(z[:, u:2 * u]),
-            np.tanh(z[:, 2 * u:3 * u]), sigmoid(z[:, 3 * u:]),
-        )
+        return s[:, :u], s[:, u:2 * u], s[:, 3 * u:]
 
     def forward(self, x, train=False, rng=None):
         n, t, _ = x.shape
-        h = np.zeros((n, self.units))
-        c = np.zeros((n, self.units))
+        u = self.units
+        h = np.zeros((n, u))
+        c = np.zeros((n, u))
         self._in_shape = x.shape
         self._steps = []
         for step in range(t):
@@ -244,40 +272,40 @@ class LSTM(Layer):
                 z = xt @ self.wx + self.b
             else:
                 z = xt @ self.wx + h @ self.wh + self.b
-            i, f, g, o = self._gates(z)
+            s = sigmoid(z)  # all four blocks in one call; the candidate's is unused
+            g = np.tanh(z[:, 2 * u:3 * u])
+            i, f, o = self._gates(s)
             c_prev = c
             c = f * c_prev + i * g
             tc = np.tanh(c)
-            self._steps.append((xt, h, i, f, g, o, c_prev, tc))
+            self._steps.append((xt, h, s, g, c_prev, tc))
             h = o * tc
         return h
 
-    def backward(self, grad):
-        dx = np.zeros(self._in_shape)
+    def backward(self, grad, input_grad=True):
+        u = self.units
+        dx = np.zeros(self._in_shape) if input_grad else None
         self.dwx[...] = 0.0
         self.dwh[...] = 0.0
         self.db[...] = 0.0
         dh = grad
         dc = np.zeros_like(grad)
         for step in range(len(self._steps) - 1, -1, -1):
-            xt, h_prev, i, f, g, o, c_prev, tc = self._steps[step]
+            xt, h_prev, s, g, c_prev, tc = self._steps[step]
+            i, f, o = self._gates(s)
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
             dg = dc * i
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
+            # the gate outputs' gradients times sigmoid' as (d * s) * (1 - s)
+            # over all four blocks, then tanh' on the candidate block
+            dz = np.concatenate([dc * g, dc * c_prev, dg, do], axis=1)
+            dz *= s
+            dz *= 1.0 - s
+            dz[:, 2 * u:3 * u] = dg * (1.0 - g * g)
             self.dwx += xt.T @ dz
             self.db += dz.sum(axis=0)
-            dx[:, step, :] = dz @ self.wx.T
+            if input_grad:
+                dx[:, step, :] = dz @ self.wx.T
             if step == 0:  # h_prev is zero and nothing precedes it
                 break
             self.dwh += h_prev.T @ dz

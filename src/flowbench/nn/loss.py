@@ -30,7 +30,7 @@ def bce_with_grad(probs, targets, sample_weight=None):
         w = np.asarray(sample_weight, dtype=np.float64)
         if w.shape != (n,):
             raise ValueError("sample_weight must have one entry per row")
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    pc = np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)  # np.clip, minus its overhead
     per = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
     loss = float((w[:, None] * per).sum() / (n * m))
     dp = w[:, None] * (pc - y) / (pc * (1.0 - pc)) / (n * m)

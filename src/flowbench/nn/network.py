@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TrainingDiverged
-from ..ingest import row_weights
+from ..ingest import integer, row_weights
 from .layers import (
     AvgPool1D, Conv1D, Dense, Dropout, Flatten, LSTM, Layer, SeqFromVec,
 )
@@ -24,6 +24,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.epochs = integer("epochs", self.epochs)
+        self.batch_size = integer("batch_size", self.batch_size)
+        self.seed = integer("seed", self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -57,6 +60,10 @@ class Network:
         total = sum(getattr(layer, p).size for layer, p, _ in slots)
         self.flat = np.empty(total)
         self.flat_grad = np.zeros(total)
+        # the lowest layer with parameters: training needs no gradient below it
+        self._first_param = next(
+            (i for i, layer in enumerate(self.layers) if layer.PARAMS), len(self.layers)
+        )
         offset = 0
         for layer, p, g in slots:
             tensor = getattr(layer, p)
@@ -76,10 +83,22 @@ class Network:
             x = layer.forward(x, train=train, rng=rng)
         return x
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
+    def backward(self, grad, input_grad=True):
+        """Fill ``flat_grad`` from d(loss)/d(output) and return d(loss)/d(input).
+
+        With ``input_grad=False`` (training) the pass ends at the lowest
+        layer with parameters, which skips its input gradient, and returns
+        None; every parameter gradient is the same either way.
+        """
+        if input_grad:
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        for layer in reversed(self.layers[self._first_param + 1:]):
             grad = layer.backward(grad)
-        return grad
+        if self._first_param < len(self.layers):
+            self.layers[self._first_param].backward(grad, input_grad=False)
+        return None
 
     def params(self):
         out = []
@@ -167,8 +186,8 @@ def fit_network(
     """Mini-batch Adam on BCE; aborts on the first non-finite loss.
 
     Batches are shuffled and dropout masks drawn from cfg.seed's streams.
-    ``sample_weight`` holds one finite, non-negative loss weight per row,
-    checked once before the first step.
+    ``targets`` and ``sample_weight`` (one finite, non-negative loss
+    weight) have one row per row of x, checked once before the first step.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -177,6 +196,8 @@ def fit_network(
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty matrix")
+    if targets.shape[0] != n:
+        raise ValueError(f"targets has {targets.shape[0]} rows, x has {n}")
     if sample_weight is not None:
         sample_weight = row_weights(sample_weight, n)
     _, rng_shuffle, rng_dropout = seed_streams(cfg.seed)
@@ -194,7 +215,7 @@ def fit_network(
             loss, dout = bce_with_grad(out, targets[sel], sw)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
-            net.backward(dout)
+            net.backward(dout, input_grad=False)
             adam.step([net.flat_grad])
             epoch_loss += loss * len(sel)
             history.steps += 1

@@ -32,7 +32,7 @@ from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, variance_report,
 )
-from .ingest import FeatureMatrix, load_feature_matrix, write_csv
+from .ingest import FeatureMatrix, integer, load_feature_matrix, write_csv
 from .nn.network import TrainConfig
 from .preprocess import (
     FoldPlan, ScalerModel, apply_scaler, fit_scaler, stratified_kfold, stratified_subsample,
@@ -44,13 +44,6 @@ log = logging.getLogger(__name__)
 FE_METHODS = ("full", "pca", "lda", "ae")
 DEFAULT_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30)
 CONFIG_VERSION = 1
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float, string or None raises, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _real(name: str, value):
@@ -93,11 +86,11 @@ class ExperimentConfig:
             if name != "dimensions" and len(set(value)) < len(value):  # cells would run twice
                 raise ValueError(f"{name} must be a list without repeats, got {value!r}")
         self.fe_methods = tuple(self.fe_methods)
-        self.dimensions = tuple(_integer("dimensions", d) for d in self.dimensions)
-        self.folds = _integer("folds", self.folds)
-        self.seed = _integer("seed", self.seed)
+        self.dimensions = tuple(integer("dimensions", d) for d in self.dimensions)
+        self.folds = integer("folds", self.folds)
+        self.seed = integer("seed", self.seed)
         if self.subsample is not None:
-            self.subsample = _integer("subsample", self.subsample)
+            self.subsample = integer("subsample", self.subsample)
         _real("threshold", self.threshold)
         self.models = tuple(self.models)
         bad = set(self.fe_methods) - set(FE_METHODS)
@@ -118,7 +111,7 @@ class ExperimentConfig:
         self.train = dict(self.train)
         for key in ("epochs", "batch_size"):
             if key in self.train:
-                self.train[key] = _integer(f"train.{key}", self.train[key])
+                self.train[key] = integer(f"train.{key}", self.train[key])
         if "learning_rate" in self.train:
             self.train["learning_rate"] = _learning_rate(self.train["learning_rate"])
         self.train_config(0)  # TrainConfig validates the overrides

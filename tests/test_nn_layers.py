@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowbench.nn import (
     Adam, AvgPool1D, CLAMP_EPS, Conv1D, Dropout, LSTM, LayerSpec, bce_loss,
     bce_with_grad, build_network, sigmoid,
 )
 from flowbench.preprocess import ClassWeights
+
+import nn_reference
 
 
 class TestForward:
@@ -114,6 +119,19 @@ class TestAvgPool:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             AvgPool1D(4).forward(np.zeros((1, 3, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 4), windows=st.integers(1, 3),
+           n=st.integers(1, 3), c=st.integers(1, 3))
+    def test_bit_identical_to_mean_and_repeat(self, data, p, windows, n, c):
+        """Strided-view pooling against ``mean``/``np.repeat``, remainder and -0.0 included."""
+        t = p * windows + data.draw(st.integers(0, p - 1), label="remainder")
+        values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0])
+        x = data.draw(arrays(np.float64, (n, t, c), elements=values), label="x")
+        grad = data.draw(arrays(np.float64, (n, windows, c), elements=values), label="grad")
+        layer, reference = AvgPool1D(p), nn_reference.AvgPool1D(p)
+        assert layer.forward(x).tobytes() == reference.forward(x).tobytes()
+        assert layer.backward(grad).tobytes() == reference.backward(grad).tobytes()
 
 
 class TestAdam:

@@ -10,9 +10,12 @@ from flowbench.nn import (
     Adam, LayerSpec, Network, TrainConfig, bce_with_grad, build_network, fit_network,
     parameter_count, train,
 )
+from flowbench.nn.network import seed_streams
 from flowbench.persist import load_model, save_model
 
 from helpers import blobs
+from nn_reference import reference_fit
+from test_nn_gradcheck import CONV, DENSE, FD_STEP, LSTM_NET, TOLERANCE
 
 SMALL_DFF = [
     LayerSpec("dense", units=8, activation="relu"),
@@ -38,6 +41,19 @@ class TestTrain:
     def test_zero_epochs_forbidden(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("batch_size", 4.5),
+        ("batch_size", None), ("seed", 1.0), ("seed", False),
+    ])
+    def test_non_integral_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 8, 3)
+        assert {type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)} == {int}
 
     def test_seeded_determinism(self):
         data = blobs(n0=40, n1=40, d=3, seed=3, scale01=True)
@@ -84,6 +100,16 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             fit_network(net, x, np.array([0.0, 1.0]), TrainConfig(epochs=1, batch_size=2),
                         sample_weight=np.array(weights))
+        assert net.flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n_targets", [8, 12])
+    def test_target_row_count_checked_before_the_first_step(self, n_targets):
+        net = build_network(SMALL_DFF, 2, rng=np.random.default_rng(0))
+        before = net.flat.copy()
+        x = np.random.default_rng(1).random((10, 2))
+        targets = np.tile([0.0, 1.0], n_targets // 2)
+        with pytest.raises(ValueError, match=f"^targets has {n_targets} rows, x has 10$"):
+            fit_network(net, x, targets, TrainConfig(epochs=1, batch_size=4))
         assert net.flat.tobytes() == before.tobytes()
 
 
@@ -207,3 +233,79 @@ class TestFlatBuffer:
         assert flat.flat.tobytes() != build_network(
             specs, width, rng=np.random.default_rng(2)
         ).flat.tobytes()
+
+
+REFERENCE_STACKS = {
+    "dff": (dff_layers(7), 7),
+    "cnn-full": (cnn_layers(11), 11),  # conv 3, pool 2, conv 2, pool 2, conv 1; pools drop a step
+    "cnn-full-even": (cnn_layers(12), 12),  # every pool window full
+    "cnn-small": (cnn_layers(5), 5),  # conv 1 on the raw input, pool 2
+    "rnn": (rnn_layers(6), 6),
+    "ae": (autoencoder_specs(9, 3)[0], 9),
+}
+
+
+class TestMatchesReference:
+    """Training against the pre-change kernels and full backward pass of tests/nn_reference.py."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STACKS))
+    def test_parameters_and_losses_byte_identical(self, name, weighted):
+        specs, width = REFERENCE_STACKS[name]
+        data = blobs(n0=30, n1=20, d=width, separation=1.0, seed=9, scale01=True)
+        x = data.values
+        targets = x if name == "ae" else data.labels.astype(np.float64)
+        weights = np.where(data.labels == 1, 1.5, 0.625) if weighted else None
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
+        net = build_network(specs, width, rng=seed_streams(cfg.seed)[0])
+        history = fit_network(net, x, targets, cfg, weights)
+        want, losses = reference_fit(specs, x, targets, cfg, weights)
+        assert net.flat.tobytes() == want.flat.tobytes()
+        assert history.epoch_losses == losses
+
+
+GRADIENT_STACKS = {
+    "dense": (DENSE, 5), "conv-pool": (CONV, 11), "cnn-full": (cnn_layers(11), 11),
+    "cnn-small": (cnn_layers(5), 5), "lstm": (LSTM_NET, 6),
+}
+
+
+class TestTrainingBackward:
+    """``backward(..., input_grad=False)`` skips only the first layer's input gradient."""
+
+    @staticmethod
+    def batch(specs, width):
+        rng = np.random.default_rng(width)
+        net = build_network(specs, width, rng=np.random.default_rng(width + 1))
+        x = rng.random((6, width))
+        targets = rng.integers(0, 2, (6, 1)).astype(np.float64)
+        return net, x, targets, rng.uniform(0.5, 2.0, 6)
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_STACKS))
+    def test_parameter_gradients_bit_identical_to_full_backward(self, name):
+        net, x, targets, weights = self.batch(*GRADIENT_STACKS[name])
+        _, dout = bce_with_grad(net.forward(x), targets, weights)
+        assert net.backward(dout, input_grad=False) is None
+        skipped = net.flat_grad.copy()
+        net.flat_grad[...] = np.nan
+        net.backward(dout)
+        assert net.flat_grad.tobytes() == skipped.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_STACKS))
+    def test_full_backward_returns_the_input_gradient(self, name):
+        net, x, targets, weights = self.batch(*GRADIENT_STACKS[name])
+
+        def loss_at(xs):
+            return bce_with_grad(net.forward(xs), targets, weights)[0]
+
+        _, dout = bce_with_grad(net.forward(x), targets, weights)
+        dx = net.backward(dout)
+        assert dx.shape == x.shape
+        numeric = np.empty_like(x)
+        for idx in np.ndindex(x.shape):
+            up, down = x.copy(), x.copy()
+            up[idx] += FD_STEP
+            down[idx] -= FD_STEP
+            numeric[idx] = (loss_at(up) - loss_at(down)) / (2.0 * FD_STEP)
+        denom = np.maximum(1e-5, np.maximum(np.abs(dx), np.abs(numeric)))
+        assert float((np.abs(dx - numeric) / denom).max()) < TOLERANCE
