@@ -93,8 +93,9 @@ class Layer:
     ``backward(grad)`` takes d(loss)/d(output) of the last ``forward``,
     writes the parameter gradients and returns d(loss)/d(input). A layer
     with parameters also takes ``input_grad=False``: it then writes only
-    its parameter gradients and returns None, which training uses for the
-    first such layer, whose input gradient nothing reads.
+    its parameter gradients and returns None; ``Network.backward`` calls
+    its lowest such layer that way, since nothing reads the gradient of
+    the input batch.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
@@ -142,7 +143,7 @@ class Conv1D(Layer):
 
     Computed as im2col plus one matmul: row (i, t) of ``cols`` holds the k
     input steps t..t+k-1, channels innermost, which is the (k, c_in) order
-    of the flattened weight. With k = 1 that is the input itself, uncopied.
+    of the flattened weight.
     """
 
     PARAMS = (("w", "dw"), ("b", "db"))
@@ -168,12 +169,9 @@ class Conv1D(Layer):
             raise ValueError(f"sequence length {t} shorter than kernel {k}")
         out_len = t - k + 1
         self._in_shape = x.shape
-        if k == 1:
-            self._cols = x.reshape(n * t, c)
-        else:
-            self._cols = np.concatenate(
-                [x[:, j:j + out_len, :] for j in range(k)], axis=2
-            ).reshape(n * out_len, k * c)
+        self._cols = np.concatenate(
+            [x[:, j:j + out_len, :] for j in range(k)], axis=2
+        ).reshape(n * out_len, k * c)
         z = self._cols @ self.w.reshape(k * c, -1) + self.b
         self._out = _activate(self.activation, z.reshape(n, out_len, -1))
         return self._out
@@ -186,11 +184,8 @@ class Conv1D(Layer):
         self.db[...] = dz.sum(axis=(0, 1))
         if not input_grad:
             return None
-        dcols = dz2 @ self.w.reshape(-1, f).T
-        if self.kernel_size == 1:
-            return dcols.reshape(self._in_shape)
         c = self._in_shape[2]
-        dcols = dcols.reshape(n, out_len, self.kernel_size, c)
+        dcols = (dz2 @ self.w.reshape(-1, f).T).reshape(n, out_len, self.kernel_size, c)
         dx = np.zeros(self._in_shape)
         for j in range(self.kernel_size):
             dx[:, j:j + out_len, :] += dcols[:, :, j, :]

@@ -83,22 +83,16 @@ class Network:
             x = layer.forward(x, train=train, rng=rng)
         return x
 
-    def backward(self, grad, input_grad=True):
-        """Fill ``flat_grad`` from d(loss)/d(output) and return d(loss)/d(input).
+    def backward(self, grad):
+        """Fill ``flat_grad`` from d(loss)/d(output).
 
-        With ``input_grad=False`` (training) the pass ends at the lowest
-        layer with parameters, which skips its input gradient, and returns
-        None; every parameter gradient is the same either way.
+        The pass ends at the lowest layer with parameters, called with
+        ``input_grad=False``: nothing reads the gradient of the input batch.
         """
-        if input_grad:
-            for layer in reversed(self.layers):
-                grad = layer.backward(grad)
-            return grad
         for layer in reversed(self.layers[self._first_param + 1:]):
             grad = layer.backward(grad)
         if self._first_param < len(self.layers):
             self.layers[self._first_param].backward(grad, input_grad=False)
-        return None
 
     def params(self):
         out = []
@@ -215,7 +209,7 @@ def fit_network(
             loss, dout = bce_with_grad(out, targets[sel], sw)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
-            net.backward(dout, input_grad=False)
+            net.backward(dout)
             adam.step([net.flat_grad])
             epoch_loss += loss * len(sel)
             history.steps += 1

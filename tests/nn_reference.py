@@ -2,10 +2,9 @@
 
 Every kernel here is the one the library used before: the two-division
 sigmoid, one sigmoid call per LSTM gate, pooling by ``mean`` and
-``np.repeat``, im2col by ``concatenate`` at every kernel size,
-``np.clip`` in the loss, and a backward pass that computes every layer's
-input gradient, the first layer's included. Tests require the library to
-train byte-identical parameters and epoch losses.
+``np.repeat``, ``np.clip`` in the loss, and a backward pass that computes
+every layer's input gradient, the first layer's included. Tests require
+the library to train byte-identical parameters and epoch losses.
 """
 
 import numpy as np
@@ -198,7 +197,9 @@ def reference_fit(specs, x, targets, cfg, sample_weight=None):
             out = net.forward(x[sel], train=True, rng=r_dropout)
             sw = None if sample_weight is None else sample_weight[sel]
             loss, dout = bce_with_grad(out, targets[sel], sw)
-            net.backward(dout)
+            grad = dout
+            for layer in reversed(net.layers):
+                grad = layer.backward(grad)
             adam.step([net.flat_grad])
             total += loss * len(sel)
         losses.append(total / n)

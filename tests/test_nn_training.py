@@ -15,7 +15,7 @@ from flowbench.persist import load_model, save_model
 
 from helpers import blobs
 from nn_reference import reference_fit
-from test_nn_gradcheck import CONV, DENSE, FD_STEP, LSTM_NET, TOLERANCE
+from test_nn_gradcheck import CONV, DENSE, LSTM_NET
 
 SMALL_DFF = [
     LayerSpec("dense", units=8, activation="relu"),
@@ -271,41 +271,21 @@ GRADIENT_STACKS = {
 
 
 class TestTrainingBackward:
-    """``backward(..., input_grad=False)`` skips only the first layer's input gradient."""
+    """``Network.backward`` skips only the first parameter layer's input gradient."""
 
-    @staticmethod
-    def batch(specs, width):
+    @pytest.mark.parametrize("name", sorted(GRADIENT_STACKS))
+    def test_parameter_gradients_bit_identical_to_full_backward(self, name):
+        specs, width = GRADIENT_STACKS[name]
         rng = np.random.default_rng(width)
         net = build_network(specs, width, rng=np.random.default_rng(width + 1))
         x = rng.random((6, width))
         targets = rng.integers(0, 2, (6, 1)).astype(np.float64)
-        return net, x, targets, rng.uniform(0.5, 2.0, 6)
-
-    @pytest.mark.parametrize("name", sorted(GRADIENT_STACKS))
-    def test_parameter_gradients_bit_identical_to_full_backward(self, name):
-        net, x, targets, weights = self.batch(*GRADIENT_STACKS[name])
-        _, dout = bce_with_grad(net.forward(x), targets, weights)
-        assert net.backward(dout, input_grad=False) is None
+        _, dout = bce_with_grad(net.forward(x), targets, rng.uniform(0.5, 2.0, 6))
+        net.backward(dout)
         skipped = net.flat_grad.copy()
         net.flat_grad[...] = np.nan
-        net.backward(dout)
+        grad = dout
+        for layer in reversed(net.layers):  # every layer's input gradient
+            grad = layer.backward(grad)
+        assert grad.shape == x.shape
         assert net.flat_grad.tobytes() == skipped.tobytes()
-
-    @pytest.mark.parametrize("name", sorted(GRADIENT_STACKS))
-    def test_full_backward_returns_the_input_gradient(self, name):
-        net, x, targets, weights = self.batch(*GRADIENT_STACKS[name])
-
-        def loss_at(xs):
-            return bce_with_grad(net.forward(xs), targets, weights)[0]
-
-        _, dout = bce_with_grad(net.forward(x), targets, weights)
-        dx = net.backward(dout)
-        assert dx.shape == x.shape
-        numeric = np.empty_like(x)
-        for idx in np.ndindex(x.shape):
-            up, down = x.copy(), x.copy()
-            up[idx] += FD_STEP
-            down[idx] -= FD_STEP
-            numeric[idx] = (loss_at(up) - loss_at(down)) / (2.0 * FD_STEP)
-        denom = np.maximum(1e-5, np.maximum(np.abs(dx), np.abs(numeric)))
-        assert float((np.abs(dx - numeric) / denom).max()) < TOLERANCE
