@@ -39,7 +39,15 @@ class MetricSet:
 
 @dataclass
 class RocCurve:
-    """Operating points (far, dr) from (0,0) to (1,1), both non-decreasing."""
+    """The vertices (far, dr) of an ROC curve, from (0,0) to (1,1), both non-decreasing.
+
+    A vertex is an end point or an operating point where the curve changes
+    direction; the operating points between two vertices lie on the
+    straight segment joining them, so the curve drawn through the vertices
+    is the curve through every operating point. ``roc_auc`` takes the AUC
+    over every operating point, which equals the trapezoid over the
+    vertices within about 2e-16.
+    """
 
     far: np.ndarray
     dr: np.ndarray
@@ -62,12 +70,21 @@ class EvalReport:
     degenerate: bool = False
 
 
+def _check_finite(p: np.ndarray) -> None:
+    """A NaN or infinite score has no rank and no side of a threshold."""
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"probability at index {i} is not finite: {float(p[i])!r}")
+
+
 def confusion(probabilities, labels, threshold: float = 0.5) -> ConfusionCounts:
     """Counts at a threshold; a probability equal to the threshold is positive."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: {p.shape} probabilities vs {y.shape} labels")
+    _check_finite(p)
     pred = p >= threshold
     pos = y == 1
     return ConfusionCounts(
@@ -104,12 +121,15 @@ def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
     """ROC by sweeping distinct scores descending (ties grouped) + trapezoidal AUC.
 
     The trapezoid over a tie group averages the corner points, so the area
-    equals the Mann-Whitney statistic P(s+ > s-) + 0.5 * P(s+ = s-).
+    equals the Mann-Whitney statistic P(s+ > s-) + 0.5 * P(s+ = s-). The
+    area is taken over every operating point; the returned curve holds
+    only the vertices, found exactly on the integer (fp, tp) counts.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
         raise ValueError("length mismatch between probabilities and labels")
+    _check_finite(p)
     n_pos = int((y == 1).sum())
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -121,13 +141,18 @@ def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
     # last index of each tie group of equal scores
     boundary = np.flatnonzero(np.diff(sorted_p) != 0)
     group_ends = np.concatenate([boundary, [p.shape[0] - 1]])
-    cum_tp = np.cumsum(sorted_y)[group_ends]
-    cum_fp = (group_ends + 1) - cum_tp
+    tp = np.concatenate([[0], np.cumsum(sorted_y)[group_ends]])
+    fp = np.concatenate([[0], group_ends + 1]) - tp
 
-    dr = np.concatenate([[0.0], cum_tp / n_pos])
-    far = np.concatenate([[0.0], cum_fp / n_neg])
+    dr = tp / n_pos
+    far = fp / n_neg
     auc = float(np.trapezoid(dr, far))
-    return RocCurve(far=far, dr=dr), auc
+    # every step goes up or right, so a zero cross product of two
+    # consecutive steps means the point between them is on a straight run
+    dfp, dtp = np.diff(fp), np.diff(tp)
+    vertex = np.ones(tp.size, dtype=bool)
+    vertex[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
+    return RocCurve(far=far[vertex], dr=dr[vertex]), auc
 
 
 def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -> dict:
@@ -140,6 +165,7 @@ def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -
     t = np.asarray(attack_types, dtype=object)
     if not (p.shape == y.shape == t.shape):
         raise ValueError("probabilities, labels and attack_types must align")
+    _check_finite(p)
     out = {}
     attack_rows = y == 1
     detected = p >= threshold

@@ -7,6 +7,7 @@ from flowbench.evaluate import (
     ConfusionCounts, aggregate_folds, confusion, evaluate, metrics, per_attack_dr,
     roc_auc,
 )
+from helpers import full_roc, roc_vertices
 
 
 def rank_statistic_auc(scores, labels):
@@ -128,6 +129,35 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("scores, labels, far, dr", [
+        ([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]),
+        ([0.5] * 4, [1, 0, 1, 0], [0.0, 1.0], [0.0, 1.0]),
+        # three tie groups of one positive and one negative: one diagonal run
+        ([0.9, 0.9, 0.5, 0.5, 0.1, 0.1], [1, 0, 0, 1, 1, 0], [0.0, 1.0], [0.0, 1.0]),
+        # up, diagonal, diagonal, right: the two diagonal steps merge
+        ([0.9, 0.7, 0.7, 0.6, 0.6, 0.1], [1, 1, 0, 0, 1, 0],
+         [0.0, 0.0, 2 / 3, 1.0], [0.0, 1 / 3, 1.0, 1.0]),
+    ], ids=["perfect", "all-tied", "diagonal", "mixed"])
+    def test_known_vertex_curves(self, scores, labels, far, dr):
+        curve, auc = roc_auc(scores, labels)
+        assert curve.far.tolist() == far and curve.dr.tolist() == dr
+        assert auc == rank_statistic_auc(scores, labels)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, bad):
+        scores = [0.9, 0.1, bad, 0.5, bad]
+        labels = [1, 0, 1, 0, 1]
+        for check in (lambda: roc_auc(scores, labels), lambda: confusion(scores, labels),
+                      lambda: per_attack_dr(scores, labels, ["a"] * 5),
+                      lambda: evaluate(scores, labels)):
+            with pytest.raises(ValueError, match="^probability at index 2 is not finite"):
+                check()
+
+    def test_nan_first_is_not_a_low_score(self):
+        # a NaN once sorted below every score and read as a negative: AUC 0.5
+        with pytest.raises(ValueError, match="index 0"):
+            roc_auc([float("nan"), 0.9, 0.1, 0.5], [1, 1, 0, 0])
+
 
 class TestPerAttackDr:
     def test_all_detected(self):
@@ -217,3 +247,33 @@ def test_auc_matches_rank_oracle_property(pairs):
     assert abs(auc - rank_statistic_auc(scores, labels)) < 1e-12
     # the last tie group ends at the last row, so the curve ends at exactly (1, 1)
     assert (curve.far[-1], curve.dr[-1]) == (1.0, 1.0)
+
+
+@given(st.lists(st.tuples(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                          st.integers(0, 1)), min_size=2, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_roc_curve_is_the_vertex_set_property(pairs):
+    scores = np.array([p for p, _ in pairs])
+    labels = np.array([l for _, l in pairs])
+    if labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    curve, auc = roc_auc(scores, labels)
+    assert abs(auc - rank_statistic_auc(scores, labels)) < 1e-12
+    fp, tp, far, dr = full_roc(scores, labels)
+    assert repr(auc) == repr(float(np.trapezoid(dr, far)))
+    # the kept points are full-curve points, same floats, same order
+    index = {(f, d): i for i, (f, d) in enumerate(zip(far.tolist(), dr.tolist()))}
+    kept = [index[point] for point in zip(curve.far.tolist(), curve.dr.tolist())]
+    assert kept == sorted(set(kept))
+    assert curve.far.tobytes() == far[kept].tobytes()
+    assert curve.dr.tobytes() == dr[kept].tobytes()
+    assert kept[0] == 0 and kept[-1] == fp.size - 1
+
+    def cross(a, i, b):  # zero when point i lies on the line through a and b
+        return int((fp[i] - fp[a]) * (tp[b] - tp[a]) - (tp[i] - tp[a]) * (fp[b] - fp[a]))
+
+    for a, b in zip(kept, kept[1:]):
+        assert all(cross(a, i, b) == 0 for i in range(a + 1, b))
+    for a, v, b in zip(kept, kept[1:], kept[2:]):
+        assert cross(a, v, b) != 0
+    assert kept == roc_vertices(fp, tp)

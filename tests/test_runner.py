@@ -17,6 +17,7 @@ from flowbench.runner import (
 )
 from flowbench.schema import get_schema, schema_to_file
 from flowbench.synth import SynthSpec, synth_generate
+from helpers import full_roc, roc_vertices
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,17 @@ class TestConfig:
 
 
 class TestRun:
-    def test_sweep_outputs(self, dataset, tmp_path):
+    def test_sweep_outputs(self, dataset, tmp_path, monkeypatch):
+        import flowbench.runner as runner_mod
+
+        pooled = []  # the (probabilities, labels) of each cell's pooled ROC
+        real_roc_auc = runner_mod.roc_auc
+
+        def spy_roc_auc(probabilities, labels):
+            pooled.append((np.array(probabilities), np.array(labels)))
+            return real_roc_auc(probabilities, labels)
+
+        monkeypatch.setattr(runner_mod, "roc_auc", spy_roc_auc)
         out = tmp_path / "out"
         config = small_config(dataset, out)
         records = run(config)
@@ -166,13 +177,23 @@ class TestRun:
         n_features = next(r["dims"] for r in means if r["fe"] == "full")
         assert len(read_csv(out / "variance" / "synthetic_pca.csv")) == 1 + n_features
         assert len(read_csv(out / "variance" / "synthetic_lda.csv")) == 1 + 1
-        for r in means:
+        # one job: the cells finish in plan order, the order of results.csv
+        assert len(pooled) == len(means)
+        thinned = 0  # files with fewer points than their full curve
+        for r, (probabilities, labels) in zip(means, pooled):
             rows = read_csv(out / "roc" / f"{r['fe']}_{r['dims']}_{r['model']}.csv")
             assert rows[0] == ["far", "dr"]
             far, dr = np.array(rows[1:], dtype=np.float64).T
             assert (far[0], dr[0], far[-1], dr[-1]) == (0.0, 0.0, 1.0, 1.0)
             assert (np.diff(far) >= 0).all() and (np.diff(dr) >= 0).all()
-            assert repr(float(np.trapezoid(dr, far))) == repr(r["auc_pooled"])
+            fp, tp, full_far, full_dr = full_roc(probabilities, labels)
+            assert repr(float(np.trapezoid(full_dr, full_far))) == repr(r["auc_pooled"])
+            # the file holds exactly the full curve's vertices, in order
+            vertices = roc_vertices(fp, tp)
+            assert far.tobytes() == full_far[vertices].tobytes()
+            assert dr.tobytes() == full_dr[vertices].tobytes()
+            thinned += len(vertices) < fp.size
+        assert thinned > 0
 
     def test_full_uses_all_features_lda_one(self, dataset, tmp_path):
         records = run(small_config(dataset, tmp_path / "out"))
@@ -384,6 +405,39 @@ def test_classifier_failure_stays_in_its_cell(dataset, tmp_path, monkeypatch):
             "mean", "failed", "RuntimeError: nb fold 1 failed")
     assert [r for r in records if r["model"] == "dt"] == [
         r for r in clean if r["model"] == "dt"]
+
+
+def test_non_finite_probability_fails_only_its_cell(dataset, tmp_path, monkeypatch):
+    """A model that emits a NaN probability fails its cells at evaluation, no other."""
+    import flowbench.runner as runner_mod
+
+    clean = run(small_config(dataset, tmp_path / "clean"))
+    real = runner_mod.fit_classifier
+
+    class NanAtRow3:
+        def __init__(self, fitted):
+            self.fitted = fitted
+
+        def predict_proba(self, fm):
+            probs = self.fitted.predict_proba(fm).copy()
+            probs[3] = np.nan
+            return probs
+
+    def nan_nb(spec, train, cfg):
+        fitted = real(spec, train, cfg)
+        return NanAtRow3(fitted) if spec.kind == "nb" else fitted
+
+    monkeypatch.setattr(runner_mod, "fit_classifier", nan_nb)
+    out = tmp_path / "out"
+    records = run(small_config(dataset, out))
+    nb = [r for r in records if r["model"] == "nb"]
+    assert nb
+    for r in nb:
+        assert (r["fold"], r["status"], r["error"]) == (
+            "mean", "failed", "ValueError: probability at index 3 is not finite: nan")
+    assert [r for r in records if r["model"] == "dt"] == [
+        r for r in clean if r["model"] == "dt"]
+    assert not list((out / "roc").glob("*_nb.csv"))
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
