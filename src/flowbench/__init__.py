@@ -23,7 +23,7 @@ from .classifiers import (
     gnb_fit, gnb_score, lr_fit, lr_score,
 )
 from .evaluate import (
-    ConfusionCounts, EvalReport, MetricSet, RocCurve, aggregate_folds, confusion,
+    ConfusionCounts, EvalReport, RocCurve, aggregate_folds, confusion,
     evaluate, metrics, per_attack_dr, roc_auc,
 )
 from .runner import ExperimentConfig, ResultRecord, best_per_model, run

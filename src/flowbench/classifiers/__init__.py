@@ -15,9 +15,26 @@ from .logistic import LrModel, lr_fit, lr_score
 from .nets import cnn_layers, conv_output_lengths, dff_layers, rnn_layers
 from .tree import TreeModel, best_split, dt_fit, dt_score, gini
 
-DEEP_KINDS = ("dff", "cnn", "rnn")
-SHALLOW_KINDS = ("dt", "lr", "nb")
-ALL_KINDS = DEEP_KINDS + SHALLOW_KINDS
+
+def _fit_net(spec, trainset: FeatureMatrix, cfg: TrainConfig | None) -> Network:
+    """Train the network of a deep kind's layer stack."""
+    weights = class_weights(trainset.labels).per_sample(trainset.labels)
+    net, _ = train(spec.layers(trainset.n_features), trainset, cfg or TrainConfig(), weights)
+    return net
+
+
+# each deep kind's layer stack, from the input width
+_LAYER_STACKS = {"dff": dff_layers, "cnn": cnn_layers, "rnn": rnn_layers}
+# each kind's (fit(spec, trainset, cfg), score(model, x))
+_MODELS = {
+    **dict.fromkeys(_LAYER_STACKS, (_fit_net, Network.predict_proba)),
+    "dt": (lambda spec, trainset, cfg: dt_fit(trainset), dt_score),
+    "lr": (lambda spec, trainset, cfg: lr_fit(trainset), lr_score),
+    "nb": (lambda spec, trainset, cfg: gnb_fit(trainset), gnb_score),
+}
+ALL_KINDS = tuple(_MODELS)
+DEEP_KINDS = tuple(_LAYER_STACKS)
+SHALLOW_KINDS = tuple(k for k in ALL_KINDS if k not in _LAYER_STACKS)
 
 
 @dataclass
@@ -34,13 +51,9 @@ class ClassifierSpec:
             raise ValueError(f"unknown classifier kind {self.kind!r}; one of {ALL_KINDS}")
 
     def layers(self, input_dim: int) -> list[LayerSpec]:
-        if self.kind == "dff":
-            return dff_layers(input_dim)
-        if self.kind == "cnn":
-            return cnn_layers(input_dim)
-        if self.kind == "rnn":
-            return rnn_layers(input_dim)
-        raise ValueError(f"{self.kind} has no layer stack")
+        if self.kind not in _LAYER_STACKS:
+            raise ValueError(f"{self.kind} has no layer stack")
+        return _LAYER_STACKS[self.kind](input_dim)
 
 
 @dataclass
@@ -50,31 +63,16 @@ class FittedClassifier:
     model: object  # Network | TreeModel | LrModel | GnbModel
 
     def predict_proba(self, m) -> np.ndarray:
-        x = model_input(m, self.n_features)
-        if self.kind in DEEP_KINDS:
-            return self.model.predict_proba(x)
-        if self.kind == "dt":
-            return dt_score(self.model, x)
-        if self.kind == "lr":
-            return lr_score(self.model, x)
-        return gnb_score(self.model, x)
+        _, score = _MODELS[self.kind]
+        return score(self.model, model_input(m, self.n_features))
 
 
 def fit_classifier(
     spec: ClassifierSpec, trainset: FeatureMatrix, cfg: TrainConfig | None = None
 ) -> FittedClassifier:
     """Fit one model; deep kinds weight each row by its class's inverse frequency."""
-    if spec.kind in DEEP_KINDS:
-        weights = class_weights(trainset.labels).per_sample(trainset.labels)
-        net, _ = train(spec.layers(trainset.n_features), trainset, cfg or TrainConfig(), weights)
-        model: object = net
-    elif spec.kind == "dt":
-        model = dt_fit(trainset)
-    elif spec.kind == "lr":
-        model = lr_fit(trainset)
-    else:
-        model = gnb_fit(trainset)
-    return FittedClassifier(kind=spec.kind, n_features=trainset.n_features, model=model)
+    fit, _ = _MODELS[spec.kind]
+    return FittedClassifier(spec.kind, trainset.n_features, fit(spec, trainset, cfg))
 
 
 def fit_predict(

@@ -1,12 +1,15 @@
-"""Confusion counts, the seven benchmark metrics, ROC/AUC and per-attack DR."""
+"""Confusion counts, the benchmark metrics, ROC/AUC and per-attack DR."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .ingest import write_csv
+
+# the per-fold metrics of an EvalReport, in results.csv column order
+METRICS = ("acc", "f1", "dr", "far", "precision", "auc")
 
 
 @dataclass
@@ -19,22 +22,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass
-class MetricSet:
-    """Accuracy, precision, detection rate, false-alarm rate, F1.
-
-    ``degenerate`` is set when any ratio had a zero denominator and was
-    reported as 0 instead of NaN.
-    """
-
-    acc: float
-    precision: float
-    dr: float
-    far: float
-    f1: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -58,15 +45,19 @@ class RocCurve:
 
 @dataclass
 class EvalReport:
-    """One evaluation: counts, metric values and AUC."""
+    """One evaluation: counts and the ``METRICS`` values.
+
+    ``auc`` is None until a ranking was scored. ``degenerate`` is set when
+    any ratio had a zero denominator and was reported as 0 instead of NaN.
+    """
 
     counts: ConfusionCounts
     acc: float
-    precision: float
+    f1: float
     dr: float
     far: float
-    f1: float
-    auc: float
+    precision: float
+    auc: float | None = None
     degenerate: bool = False
 
 
@@ -101,8 +92,8 @@ def _ratio(num: int, den: int) -> tuple[float, bool]:
     return num / den, False
 
 
-def metrics(counts: ConfusionCounts) -> MetricSet:
-    """ACC, precision, DR, FAR and F1 from confusion counts."""
+def metrics(counts: ConfusionCounts) -> EvalReport:
+    """ACC, F1, DR, FAR and precision from confusion counts; no AUC."""
     acc, d0 = _ratio(counts.tp + counts.tn, counts.total)
     dr, d1 = _ratio(counts.tp, counts.tp + counts.fn)
     far, d2 = _ratio(counts.fp, counts.fp + counts.tn)
@@ -111,8 +102,8 @@ def metrics(counts: ConfusionCounts) -> MetricSet:
         f1, d4 = 2.0 * precision * dr / (precision + dr), False
     else:
         f1, d4 = 0.0, True
-    return MetricSet(
-        acc=acc, precision=precision, dr=dr, far=far, f1=f1,
+    return EvalReport(
+        counts=counts, acc=acc, f1=f1, dr=dr, far=far, precision=precision,
         degenerate=d0 or d1 or d2 or d3 or d4,
     )
 
@@ -179,33 +170,21 @@ def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -
 
 def evaluate(probabilities, labels, threshold: float = 0.5) -> EvalReport:
     """Assemble a full report for one scored test set."""
-    counts = confusion(probabilities, labels, threshold)
-    ms = metrics(counts)
+    report = metrics(confusion(probabilities, labels, threshold))
     _, auc = roc_auc(probabilities, labels)
-    return EvalReport(
-        counts=counts, acc=ms.acc, precision=ms.precision, dr=ms.dr,
-        far=ms.far, f1=ms.f1, auc=auc, degenerate=ms.degenerate,
-    )
+    return replace(report, auc=auc)
 
 
 def aggregate_folds(reports: list[EvalReport]) -> EvalReport:
     """Arithmetic mean of each metric across folds; counts are summed."""
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
-    counts = ConfusionCounts(
-        tp=sum(r.counts.tp for r in reports),
-        tn=sum(r.counts.tn for r in reports),
-        fp=sum(r.counts.fp for r in reports),
-        fn=sum(r.counts.fn for r in reports),
-    )
+    counts = ConfusionCounts(**{
+        f.name: sum(getattr(r.counts, f.name) for r in reports) for f in fields(ConfusionCounts)
+    })
     k = len(reports)
     return EvalReport(
         counts=counts,
-        acc=sum(r.acc for r in reports) / k,
-        precision=sum(r.precision for r in reports) / k,
-        dr=sum(r.dr for r in reports) / k,
-        far=sum(r.far for r in reports) / k,
-        f1=sum(r.f1 for r in reports) / k,
-        auc=sum(r.auc for r in reports) / k,
+        **{m: sum(getattr(r, m) for r in reports) / k for m in METRICS},
         degenerate=any(r.degenerate for r in reports),
     )

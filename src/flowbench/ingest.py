@@ -81,9 +81,6 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def column_index(self, name: str) -> int:
-        return _column_index(self.columns, name)
-
     def source_row(self, r: int) -> int:
         """0-based data row of the file that row ``r`` came from."""
         return r if self.source_rows is None else self.source_rows[r]

@@ -1,5 +1,5 @@
 from .layers import (
-    AvgPool1D, Conv1D, Dense, Dropout, Flatten, LSTM, LayerSpec, SeqFromVec, sigmoid,
+    AvgPool1D, Conv1D, Dense, Dropout, LSTM, LayerSpec, Reshape, sigmoid,
 )
 from .loss import bce_loss, bce_with_grad, CLAMP_EPS
 from .optim import Adam
@@ -9,8 +9,8 @@ from .network import (
 )
 
 __all__ = [
-    "Adam", "AvgPool1D", "CLAMP_EPS", "Conv1D", "Dense", "Dropout", "Flatten",
-    "LSTM", "LayerSpec", "Network", "SeqFromVec", "TrainConfig", "TrainHistory",
+    "Adam", "AvgPool1D", "CLAMP_EPS", "Conv1D", "Dense", "Dropout",
+    "LSTM", "LayerSpec", "Network", "Reshape", "TrainConfig", "TrainHistory",
     "bce_loss", "bce_with_grad", "build_network", "fit_network",
     "parameter_count", "sigmoid", "train",
 ]

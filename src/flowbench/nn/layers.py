@@ -3,8 +3,7 @@
 Every layer caches what its backward pass needs during forward, so a
 network instance is single-threaded; distinct instances share nothing.
 Data is either a 2-D batch (n, features) or a 3-D sequence batch
-(n, timesteps, channels); Flatten and the internal SeqFromVec adapters
-convert between the two.
+(n, timesteps, channels); the Reshape adapter converts between the two.
 """
 
 from __future__ import annotations
@@ -332,32 +331,16 @@ class Dropout(Layer):
         return grad * self._mask
 
 
-class Flatten(Layer):
-    def __init__(self):
+class Reshape(Layer):
+    """Gives each row of the batch ``shape``; backward restores the input's shape."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
         self._in_shape = None
 
     def forward(self, x, train=False, rng=None):
         self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], *self.shape)
 
     def backward(self, grad):
         return grad.reshape(self._in_shape)
-
-
-class SeqFromVec(Layer):
-    """Adapter giving a 2-D batch the 3-D layout a sequence layer expects.
-
-    ``as_time``: each feature becomes one timestep of a 1-channel sequence
-    (convolution over the feature axis). Otherwise the whole row becomes a
-    single timestep carrying all features (recurrent nets).
-    """
-
-    def __init__(self, as_time):
-        self.as_time = as_time
-
-    def forward(self, x, train=False, rng=None):
-        n, d = x.shape
-        return x.reshape(n, d, 1) if self.as_time else x.reshape(n, 1, d)
-
-    def backward(self, grad):
-        return grad.reshape(grad.shape[0], -1)

@@ -9,9 +9,7 @@ import numpy as np
 
 from ..errors import TrainingDiverged
 from ..ingest import integer, row_weights
-from .layers import (
-    AvgPool1D, Conv1D, Dense, Dropout, Flatten, LSTM, Layer, SeqFromVec,
-)
+from .layers import AvgPool1D, Conv1D, Dense, Dropout, LSTM, Layer, Reshape
 from .loss import bce_with_grad
 from .optim import Adam
 
@@ -112,57 +110,50 @@ class Network:
 
 
 def build_network(specs, input_dim, rng=None) -> Network:
-    """Instantiate layers from specs, inserting 2-D/3-D adapters as needed.
+    """Instantiate layers from specs, inserting a Reshape where the row layout changes.
 
-    A conv1d reached from a 2-D batch sees the features as a length-d
-    1-channel sequence; an lstm sees them as a single timestep of d
-    features.
+    A row is (features,) or (timesteps, channels). A conv1d reached from a
+    flat row sees the features as a length-d 1-channel sequence; an lstm
+    sees them as a single timestep of d features. A flatten of a flat row
+    is the identity and adds no layer.
     """
     rng = rng or np.random.default_rng(0)
     layers: list[Layer] = []
-    shape = ("vec", input_dim)
+    shape = (input_dim,)
     for spec in specs:
+        if len(shape) == 1 and spec.kind in ("conv1d", "lstm"):
+            shape = (shape[0], 1) if spec.kind == "conv1d" else (1, shape[0])
+            layers.append(Reshape(shape))
+        elif len(shape) == 2 and spec.kind == "flatten":
+            shape = (shape[0] * shape[1],)
+            layers.append(Reshape(shape))
         if spec.kind == "dense":
-            if shape[0] != "vec":
+            if len(shape) != 1:
                 raise ValueError("dense layer needs a flat input; add a flatten first")
-            layers.append(Dense(shape[1], spec.units, spec.activation, rng=rng))
-            shape = ("vec", spec.units)
+            layers.append(Dense(shape[0], spec.units, spec.activation, rng=rng))
+            shape = (spec.units,)
         elif spec.kind == "conv1d":
-            if shape[0] == "vec":
-                layers.append(SeqFromVec(as_time=True))
-                shape = ("seq", shape[1], 1)
-            _, t, c = shape
+            t, c = shape
             if t < spec.kernel_size:
                 raise ValueError(f"kernel {spec.kernel_size} exceeds sequence length {t}")
             layers.append(Conv1D(c, spec.units, spec.kernel_size, spec.activation, rng=rng))
-            shape = ("seq", t - spec.kernel_size + 1, spec.units)
+            shape = (t - spec.kernel_size + 1, spec.units)
         elif spec.kind == "avgpool1d":
-            if shape[0] != "seq":
+            if len(shape) != 2:
                 raise ValueError("avgpool1d needs a sequence input")
-            _, t, c = shape
+            t, c = shape
             if t < spec.pool_size:
                 raise ValueError(f"pool {spec.pool_size} exceeds sequence length {t}")
             layers.append(AvgPool1D(spec.pool_size))
-            shape = ("seq", t // spec.pool_size, c)
+            shape = (t // spec.pool_size, c)
         elif spec.kind == "lstm":
-            if shape[0] == "vec":
-                layers.append(SeqFromVec(as_time=False))
-                shape = ("seq", 1, shape[1])
-            _, _, c = shape
-            layers.append(LSTM(c, spec.units, rng=rng))
-            shape = ("vec", spec.units)
+            layers.append(LSTM(shape[1], spec.units, rng=rng))
+            shape = (spec.units,)
         elif spec.kind == "dropout":
             layers.append(Dropout(spec.rate))
-        elif spec.kind == "flatten":
-            if shape[0] == "seq":
-                layers.append(Flatten())
-                shape = ("vec", shape[1] * shape[2])
-            # flattening a flat batch is the identity; skip the layer
-        else:  # pragma: no cover - LayerSpec already validates
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
-    if shape[0] != "vec":
+    if len(shape) != 1:
         raise ValueError("network must end in a flat output; add a flatten/dense")
-    return Network(layers, specs, input_dim, shape[1])
+    return Network(layers, specs, input_dim, shape[0])
 
 
 def parameter_count(net: Network) -> int:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
-from .evaluate import RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
+from .evaluate import METRICS, RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
 from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, variance_report,
@@ -91,7 +91,11 @@ class ExperimentConfig:
         self.seed = integer("seed", self.seed)
         if self.subsample is not None:
             self.subsample = integer("subsample", self.subsample)
+            if self.subsample < 1:
+                raise ValueError(f"subsample must be at least 1, got {self.subsample}")
         _real("threshold", self.threshold)
+        if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
+            raise ValueError(f"threshold must be within [0, 1], got {self.threshold!r}")
         self.models = tuple(self.models)
         bad = set(self.fe_methods) - set(FE_METHODS)
         if bad:
@@ -119,19 +123,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, source) -> "ExperimentConfig":
         """A config from its JSON form; ``source`` names the file in errors."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"{source}: config must be a JSON object")
         raw = dict(raw)
         version = raw.pop("version", None)
         if version != CONFIG_VERSION:
             raise ValueError(
                 f"{source}: config version must be {CONFIG_VERSION}, got {version!r}"
             )
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{source}: unknown config key(s) {sorted(unknown)}")
         return cls(**raw)
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        if isinstance(raw, dict):  # from_dict names the file for anything else
+            raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(raw, path)
 
     def to_dict(self) -> dict:
@@ -288,7 +298,6 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
     """
     out = {model: {"reports": [], "probs": [], "wall": 0.0, "error": None}
            for model in pending_models}
-    group_error = None
     for fold, fit in enumerate(fold_fits):
         try:
             scaler = _fitted(fit.scaler)
@@ -304,7 +313,8 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             test_z = _apply_extractor(fe, extractor, test_s)
         except Exception as exc:  # extractor failure poisons the whole group
             log.warning("extractor %s dims=%s fold=%d failed: %s", fe, dims, fold, exc)
-            group_error = f"{type(exc).__name__}: {exc}"
+            for cell in out.values():
+                cell["error"] = cell["error"] or f"{type(exc).__name__}: {exc}"
             break
         for model in pending_models:
             cell = out[model]
@@ -324,10 +334,6 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             cell["wall"] += time.perf_counter() - started
             cell["reports"].append(report)
             cell["probs"].append(probs)
-    if group_error is not None:
-        for cell in out.values():
-            if cell["error"] is None:
-                cell["error"] = group_error
     return out
 
 
@@ -338,31 +344,25 @@ def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig, cell,
     The ROC curve and the per-attack table are computed once, on the
     cell's pooled out-of-fold predictions: each row is tested exactly once.
     ``pooled_types`` is None when the schema has no attack-type column.
+    A cell without an error holds one report per fold.
     """
-    if cell["error"] is not None or len(cell["reports"]) != config.folds:
-        err = cell["error"] or "incomplete fold set"
+    if cell["error"] is not None:
         rec = ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims,
-                           fold="mean", status="failed", error=err)
+                           fold="mean", status="failed", error=cell["error"])
         return {"records": [asdict(rec)], "per_attack": None, "wall_time": cell["wall"]}, None
-    records = []
-    for fold, report in enumerate(cell["reports"]):
-        records.append(asdict(ResultRecord(
-            dataset=dataset, model=model, fe=fe, dims=dims, fold=str(fold),
-            acc=report.acc, f1=report.f1, dr=report.dr, far=report.far,
-            precision=report.precision, auc=report.auc,
-        )))
-    mean = aggregate_folds(cell["reports"])
+
+    def row(fold, report, **extra):
+        return asdict(ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims, fold=fold,
+                                   **{m: getattr(report, m) for m in METRICS}, **extra))
+
+    records = [row(str(fold), report) for fold, report in enumerate(cell["reports"])]
     pooled_probs = np.concatenate(cell["probs"])
     curve, pooled_auc = roc_auc(pooled_probs, pooled_labels)
     per_attack = None
     if pooled_types is not None:
         table = per_attack_dr(pooled_probs, pooled_labels, pooled_types, config.threshold)
         per_attack = {name: list(v) for name, v in table.items()}
-    records.append(asdict(ResultRecord(
-        dataset=dataset, model=model, fe=fe, dims=dims, fold="mean",
-        acc=mean.acc, f1=mean.f1, dr=mean.dr, far=mean.far,
-        precision=mean.precision, auc=mean.auc, auc_pooled=pooled_auc,
-    )))
+    records.append(row("mean", aggregate_folds(cell["reports"]), auc_pooled=pooled_auc))
     return {"records": records, "per_attack": per_attack, "wall_time": cell["wall"]}, curve
 
 

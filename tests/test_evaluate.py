@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,10 +232,7 @@ class TestAggregate:
         y = rng.integers(0, 2, 40)
         y[:2] = [0, 1]
         report = evaluate(rng.random(40), y)
-        m = metrics(report.counts)
-        assert (m.acc, m.precision, m.dr, m.far, m.f1) == (
-            report.acc, report.precision, report.dr, report.far, report.f1
-        )
+        assert metrics(report.counts) == replace(report, auc=None)
 
 
 @given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=4, max_size=60))

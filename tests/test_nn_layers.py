@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowbench.nn import (
-    Adam, AvgPool1D, CLAMP_EPS, Conv1D, Dropout, LSTM, LayerSpec, bce_loss,
+    Adam, AvgPool1D, CLAMP_EPS, Conv1D, Dropout, LSTM, LayerSpec, Reshape, bce_loss,
     bce_with_grad, build_network, sigmoid,
 )
 from flowbench.preprocess import ClassWeights
@@ -102,6 +102,18 @@ class TestDropout:
         layer = Dropout(0.9)
         x = np.random.default_rng(2).random((5, 5))
         assert layer.forward(x, train=False) is x
+
+
+class TestReshape:
+    @pytest.mark.parametrize("row_in, row_out", [((6,), (6, 1)), ((6,), (1, 6)), ((3, 2), (6,))])
+    def test_rows_reshaped_and_gradient_restored(self, row_in, row_out):
+        x = np.random.default_rng(3).random((4, *row_in))
+        layer = Reshape(row_out)
+        out = layer.forward(x)
+        assert out.shape == (4, *row_out)
+        assert out.tobytes() == x.tobytes()
+        grad = layer.backward(out)
+        assert grad.shape == x.shape and grad.tobytes() == x.tobytes()
 
 
 class TestAvgPool:

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flowbench.evaluate import METRICS
 from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
@@ -89,6 +91,10 @@ class TestConfig:
         ("subsample", {"subsample": 2.5}),
         ("seed", {"seed": 1.5}),
         ("threshold", {"threshold": "0.5"}),
+        ("threshold", {"threshold": float("nan")}),
+        ("threshold", {"threshold": 1.5}),
+        ("subsample", {"subsample": 0}),
+        ("subsample", {"subsample": -5}),
         ("train.epochs", {"train": {"epochs": None}}),
         ("train.learning_rate", {"train": {"learning_rate": [1]}}),
         ("train.learning_rate", {"train": {"learning_rate": "abc"}}),
@@ -124,6 +130,22 @@ class TestConfig:
         path.write_text(json.dumps({"dataset_path": str(dataset)}))
         with pytest.raises(ValueError, match="version"):
             ExperimentConfig.from_file(path)
+
+    def test_non_object_file_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: config must be a JSON object")):
+            ExperimentConfig.from_file(path, seed=1)
+
+    def test_unknown_key_names_the_file(self, dataset, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, "dataset_path": str(dataset), "bogus": 1}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key(s) ['bogus']")):
+            ExperimentConfig.from_file(path)
+
+    def test_result_columns_hold_the_metrics(self):
+        fold, pooled = RESULT_COLUMNS.index("fold"), RESULT_COLUMNS.index("auc_pooled")
+        assert RESULT_COLUMNS[fold + 1:pooled] == METRICS
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "pca", 5, "dff", 0) == derive_seed(1, "pca", 5, "dff", 0)
@@ -261,7 +283,7 @@ class TestRun:
         assert rows[0] == list(RESULT_COLUMNS)
         assert len(rows) == 1 + len(records)
         assert any(r["status"] == "failed" for r in records)
-        metrics = ("acc", "f1", "dr", "far", "precision", "auc", "auc_pooled")
+        metrics = (*METRICS, "auc_pooled")
         for row, rec in zip(rows[1:], records):
             cells = dict(zip(RESULT_COLUMNS, row))
             for col in RESULT_COLUMNS:
