@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .ingest import write_csv
-from .runner import ExperimentConfig, best_per_model, read_manifest, run, run_summary
+from .runner import ExperimentConfig, best_per_model, read_manifest, run, write_outputs
 from .schema import schema_to_file
 from .synth import SynthSpec, schema_for, synth_generate
 
@@ -46,11 +46,8 @@ def _cmd_report(args) -> int:
     for run_dir in map(Path, args.run_dirs):
         if not (run_dir / "manifest.json").exists():
             raise SystemExit(f"{run_dir}: no manifest.json (is this a run directory?)")
-        records, summary = run_summary(*read_manifest(run_dir))
-        all_records.extend(records)
-        summary_path = run_dir / "summary.txt"
-        summary_path.write_text(summary, encoding="utf-8")
-        print(f"wrote {summary_path}")
+        all_records.extend(write_outputs(run_dir, *read_manifest(run_dir)))
+        print(f"wrote results.csv, sweeps/, best_per_model.csv and summary.txt -> {run_dir}")
     if len(args.run_dirs) > 1:
         # grouped cross-dataset comparison at each model's best (fe, dims) per dataset
         out = Path(args.run_dirs[0]) / "cross_dataset.csv"
@@ -84,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_report = sub.add_parser("report", help="re-render summaries from run manifests")
+    p_report = sub.add_parser("report", help="re-render run tables from their manifests")
     p_report.add_argument("--in", dest="run_dirs", nargs="+", required=True,
                           help="one or more run output directories")
     p_report.set_defaults(func=_cmd_report)

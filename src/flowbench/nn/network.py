@@ -218,7 +218,7 @@ def train(specs, data, cfg: TrainConfig, sample_weight=None) -> tuple[Network, T
     labels = np.asarray(data.labels)
     if labels.size == 0:
         raise ValueError("cannot train on an empty matrix")
-    if len(np.unique(labels)) < 2:
+    if not 0 < labels.sum() < labels.size:  # labels hold only 0 and 1
         raise ValueError("training data must contain both classes")
     net = build_network(specs, data.n_features, rng=seed_streams(cfg.seed)[0])
     if net.output_dim != 1:

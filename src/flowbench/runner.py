@@ -4,10 +4,14 @@ A run loads one dataset and builds a stratified fold plan. Per fold it
 fits the scaler, and PCA at full width, on the training portion only;
 every (fe, dims) group shares those fold fits, a PCA group taking the
 top-dims prefix of the one SVD. A group then fits its LDA or AE per fold,
-transforms both portions, trains each classifier and evaluates the
-held-out fold. Records flush to disk after every group, so an
-interrupted sweep resumes from its manifest and reproduces the
-uninterrupted byte-identical results.csv.
+transforms both portions, trains each classifier, evaluates the held-out
+fold and returns its finished cells: their manifest entries and pooled
+ROC curves. After every group the run writes the group's ROC files and
+flushes manifest.json, so an interrupted sweep resumes from its manifest
+and reproduces the uninterrupted byte-identical results.csv. The tables
+(results.csv, sweeps/, best_per_model.csv, summary.txt) are rendered once
+from the completed cells, by ``write_outputs``: at the end of ``run``, or
+by ``flowbench report``.
 
 Every random draw derives from a stable hash of (seed, cell identity),
 making results independent of scheduling and of which cells already ran.
@@ -134,7 +138,10 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{source}: unknown config key(s) {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
@@ -293,8 +300,8 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
               fold_fits: list[FoldFit], pending_models):
     """Evaluate every pending model of one (fe, dims) group across all folds.
 
-    Returns {model: cell_result_dict}; the fitted extractor is shared by
-    the group's models within each fold.
+    Returns {model: (manifest payload, pooled ROC curve or None)}; the
+    fitted extractor is shared by the group's models within each fold.
     """
     out = {model: {"reports": [], "probs": [], "wall": 0.0, "error": None}
            for model in pending_models}
@@ -334,10 +341,15 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             cell["wall"] += time.perf_counter() - started
             cell["reports"].append(report)
             cell["probs"].append(probs)
-    return out
+    # every row is tested once: the folds' test rows, in fold order
+    pooled_idx = np.concatenate([fit.test_idx for fit in fold_fits])
+    labels = fm.labels[pooled_idx]
+    types = None if fm.attack_types is None else fm.attack_types[pooled_idx]
+    return {model: _cell_payload(fe, dims, model, config, cell, labels, types)
+            for model, cell in out.items()}
 
 
-def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig, cell,
+def _cell_payload(fe, dims, model, config: ExperimentConfig, cell,
                   pooled_labels, pooled_types) -> tuple[dict, RocCurve | None]:
     """Manifest entry for one finished cell, and its pooled ROC curve if it succeeded.
 
@@ -346,13 +358,13 @@ def _cell_payload(dataset, fe, dims, model, config: ExperimentConfig, cell,
     ``pooled_types`` is None when the schema has no attack-type column.
     A cell without an error holds one report per fold.
     """
+    cell_id = dict(dataset=config.schema_name, model=model, fe=fe, dims=dims)
     if cell["error"] is not None:
-        rec = ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims,
-                           fold="mean", status="failed", error=cell["error"])
+        rec = ResultRecord(**cell_id, fold="mean", status="failed", error=cell["error"])
         return {"records": [asdict(rec)], "per_attack": None, "wall_time": cell["wall"]}, None
 
     def row(fold, report, **extra):
-        return asdict(ResultRecord(dataset=dataset, model=model, fe=fe, dims=dims, fold=fold,
+        return asdict(ResultRecord(**cell_id, fold=fold,
                                    **{m: getattr(report, m) for m in METRICS}, **extra))
 
     records = [row(str(fold), report) for fold, report in enumerate(cell["reports"])]
@@ -392,28 +404,6 @@ def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict) -> No
     tmp.replace(path)
 
 
-def write_results_csv(records: list[dict], path) -> None:
-    write_csv(path, RESULT_COLUMNS,
-              ([rec.get(col) for col in RESULT_COLUMNS] for rec in records))
-
-
-def _ordered_records(config: ExperimentConfig, completed: dict) -> list[dict]:
-    """Records of the completed cells in group-plan order: fe and model as
-    configured, dims ascending."""
-    def rank(cell_id):
-        fe, dims, model = cell_id.split(":")
-        return config.fe_methods.index(fe), int(dims), config.models.index(model)
-
-    return [rec for cell_id in sorted(completed, key=rank)
-            for rec in completed[cell_id]["records"]]
-
-
-def run_summary(config: ExperimentConfig, completed: dict) -> tuple[list[dict], str]:
-    """The ordered result records of a run and the text of its summary.txt."""
-    records = _ordered_records(config, completed)
-    return records, render_summary(records, best_per_attack(records, completed))
-
-
 def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
     """The config and the completed cells recorded in a run directory."""
     path = Path(run_dir) / "manifest.json"
@@ -432,7 +422,7 @@ def _write_variance_reports(scaled: FeatureMatrix, pca: PcaModel | None,
             pca_transform(scaled, pca), "pca", total_variance=pca.total_variance
         )
         report.dump_csv(var_dir / f"{dataset}_pca.csv")
-    if len(np.unique(scaled.labels)) == 2:
+    if 0 < scaled.labels.sum() < scaled.n_samples:  # both classes
         lda = lda_fit(scaled)
         variance_report(lda_transform(scaled, lda), "lda").dump_csv(
             var_dir / f"{dataset}_lda.csv"
@@ -446,25 +436,21 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     (out_dir / "roc").mkdir(exist_ok=True)
 
     fm = load_dataset(config)
-    dataset = config.schema_name
     # the variance report's fits on all rows; with fit_global they serve every fold
     scaler = fit_scaler(fm)
     scaled = apply_scaler(fm, scaler)
     pca = _full_pca(scaled) if min(fm.n_features, fm.n_samples - 1) >= 1 else None
-    _write_variance_reports(scaled, pca, out_dir, dataset)
+    _write_variance_reports(scaled, pca, out_dir, config.schema_name)
     plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
     manifest = out_dir / "manifest.json"
     completed = _load_completed(manifest, config)
 
-    def finish_group(fe, dims, results):
-        for model, cell in results.items():
-            payload, curve = _cell_payload(dataset, fe, dims, model, config, cell,
-                                           pooled_labels, pooled_types)
+    def finish_group(fe, dims, cells):
+        for model, (payload, curve) in cells.items():
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
             completed[f"{fe}:{dims}:{model}"] = payload
         _flush_manifest(manifest, config, completed)
-        write_results_csv(_ordered_records(config, completed), out_dir / "results.csv")
 
     todo = []
     for fe, dims in _group_plan(config, fm.n_features):
@@ -473,9 +459,6 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             todo.append((fe, dims, pending))
     with_pca = any(fe == "pca" for fe, _, _ in todo)
     fold_fits = _fold_fits(config, fm, plan, with_pca, (scaler, pca))
-    pooled_idx = np.concatenate([fit.test_idx for fit in fold_fits])
-    pooled_labels = fm.labels[pooled_idx]
-    pooled_types = None if fm.attack_types is None else fm.attack_types[pooled_idx]
 
     if jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -490,11 +473,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             log.info("group fe=%s dims=%s: %d model(s)", fe, dims, len(pending))
             finish_group(fe, dims, run_group(fe, dims, config, fm, fold_fits, pending))
 
-    records, summary = run_summary(config, completed)
-    write_results_csv(records, out_dir / "results.csv")
-    emit_plots(records, out_dir)
-    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
-    return records
+    return write_outputs(out_dir, config, completed)
 
 
 def mean_records(records: list[dict]) -> list[dict]:
@@ -537,14 +516,26 @@ def best_per_attack(records: list[dict], completed: dict) -> dict | None:
     }
 
 
-def emit_plots(records: list[dict], out_dir: Path) -> None:
-    """Plot-ready CSVs: AUC-vs-dimensions sweeps and the best-cell summary."""
+def write_outputs(out_dir, config: ExperimentConfig, completed: dict) -> list[dict]:
+    """Render a run directory's tables from its completed cells.
+
+    Writes results.csv, the plot-ready AUC-vs-dimensions ``sweeps/``,
+    best_per_model.csv and summary.txt; returns the result records in
+    group-plan order: fe and model as configured, dims ascending.
+    """
+    def rank(cell_id):
+        fe, dims, model = cell_id.split(":")
+        return config.fe_methods.index(fe), int(dims), config.models.index(model)
+
     out_dir = Path(out_dir)
+    records = [rec for cell_id in sorted(completed, key=rank)
+               for rec in completed[cell_id]["records"]]
+    write_csv(out_dir / "results.csv", RESULT_COLUMNS,
+              ([rec[col] for col in RESULT_COLUMNS] for rec in records))
     sweep_dir = out_dir / "sweeps"
     sweep_dir.mkdir(exist_ok=True)
-    means = mean_records(records)
     by_model: dict[str, list[dict]] = {}
-    for rec in means:
+    for rec in mean_records(records):
         by_model.setdefault(rec["model"], []).append(rec)
     for model, rows in by_model.items():
         rows = sorted(rows, key=lambda r: (r["fe"], r["dims"]))
@@ -552,6 +543,9 @@ def emit_plots(records: list[dict], out_dir: Path) -> None:
                   ([r[col] for col in SWEEP_COLUMNS] for r in rows))
     write_csv(out_dir / "best_per_model.csv", BEST_COLUMNS,
               ([r[col] for col in BEST_COLUMNS] for r in best_per_model(records)))
+    summary = render_summary(records, best_per_attack(records, completed))
+    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    return records
 
 
 def _pct(x) -> str:

@@ -1,10 +1,11 @@
 import csv
 import json
+import shutil
 
 import pytest
 
 from flowbench.cli import main
-from flowbench.runner import CONFIG_VERSION, ExperimentConfig, run
+from flowbench.runner import CONFIG_VERSION, ExperimentConfig, best_per_model, read_manifest, run
 
 
 @pytest.fixture()
@@ -56,6 +57,67 @@ def test_run_and_report(synth_csv, tmp_path, capsys):
     code = main(["report", "--in", str(out_dir)])
     assert code == 0
     assert (out_dir / "summary.txt").read_bytes() == written
+
+
+def _run_config(synth_csv, tmp_path, out_dir) -> str:
+    config = {
+        "version": CONFIG_VERSION,
+        "dataset_path": str(synth_csv),
+        "fe_methods": ["full", "pca", "lda"],
+        "dimensions": [2],
+        "models": ["dt", "nb"],
+        "folds": 3,
+        "seed": 3,
+        "output_dir": str(out_dir),
+    }
+    cfg_path = tmp_path / f"cfg_{out_dir.name}.json"
+    cfg_path.write_text(json.dumps(config))
+    return str(cfg_path)
+
+
+DERIVED = ("results.csv", "sweeps/synthetic_dt.csv", "sweeps/synthetic_nb.csv",
+           "best_per_model.csv", "summary.txt")
+
+
+def test_report_recreates_every_table(synth_csv, tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", _run_config(synth_csv, tmp_path, out_dir)]) == 0
+    assert sorted(p.name for p in (out_dir / "sweeps").iterdir()) == [
+        "synthetic_dt.csv", "synthetic_nb.csv"]
+    written = {name: (out_dir / name).read_bytes() for name in DERIVED}
+    for name in ("results.csv", "best_per_model.csv", "summary.txt"):
+        (out_dir / name).unlink()
+    shutil.rmtree(out_dir / "sweeps")
+    assert main(["report", "--in", str(out_dir)]) == 0
+    assert {name: (out_dir / name).read_bytes() for name in DERIVED} == written
+
+
+def test_report_on_interrupted_run(synth_csv, tmp_path, monkeypatch):
+    import flowbench.runner as runner_mod
+
+    full = tmp_path / "full"
+    assert main(["run", "--config", _run_config(synth_csv, tmp_path, full)]) == 0
+    real_group = runner_mod.run_group
+
+    def interrupted_at_lda(fe, *args):
+        if fe == "lda":
+            raise RuntimeError("interrupted")
+        return real_group(fe, *args)
+
+    monkeypatch.setattr(runner_mod, "run_group", interrupted_at_lda)
+    out_dir = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["run", "--config", _run_config(synth_csv, tmp_path, out_dir)])
+    assert not (out_dir / "results.csv").exists()  # the manifest is all a group writes
+    assert main(["report", "--in", str(out_dir)]) == 0
+    with open(full / "results.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    done = [row for row in rows if row[header.index("fe")] != "lda"]
+    assert len(done) == 2 * 2 * (3 + 1)  # full and pca 2, two models, 3 folds and the mean
+    with open(out_dir / "results.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [header, *done]
+    summary = (out_dir / "summary.txt").read_text()
+    assert f"{len(done)} result record(s)" in summary
 
 
 def test_run_flag_overrides(synth_csv, tmp_path):
@@ -110,6 +172,12 @@ def test_cross_dataset_report(synth_csv, tmp_path):
         cells = {(r["model"], r["fe"]) for r in rows if r["dataset"] == dataset}
         assert len(cells) == 4 == sum(r["dataset"] == dataset for r in rows)
     assert len(rows) == 8
+    records = [rec for d in dirs for cell in read_manifest(d)[1].values()
+               for rec in cell["records"]]
+    assert [(r["model"], r["fe"], r["dataset"], r["dims"], r["auc"]) for r in rows] == [
+        (b["model"], b["fe"], b["dataset"], str(b["dims"]), repr(b["auc"]))
+        for b in best_per_model(records)
+    ]
 
 
 def test_missing_run_dir_fails(tmp_path):

@@ -15,7 +15,7 @@ from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
     DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
-    derive_seed, load_dataset, read_manifest, run, run_summary,
+    derive_seed, load_dataset, read_manifest, run, write_outputs,
 )
 from flowbench.schema import get_schema, schema_to_file
 from flowbench.synth import SynthSpec, synth_generate
@@ -143,6 +143,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key(s) ['bogus']")):
             ExperimentConfig.from_file(path)
 
+    def test_bad_field_value_names_the_file(self, dataset, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"version": 1, "dataset_path": {json.dumps(str(dataset))}, '
+                        '"threshold": NaN}')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: threshold must be within [0, 1], got nan")):
+            ExperimentConfig.from_file(path)
+
     def test_result_columns_hold_the_metrics(self):
         fold, pooled = RESULT_COLUMNS.index("fold"), RESULT_COLUMNS.index("auc_pooled")
         assert RESULT_COLUMNS[fold + 1:pooled] == METRICS
@@ -242,20 +250,37 @@ class TestRun:
         b = (tmp_path / "b" / "results.csv").read_bytes()
         assert a == b
 
-    def test_resume_matches_uninterrupted(self, dataset, tmp_path):
-        full_cfg = small_config(dataset, tmp_path / "full")
-        run(full_cfg)
+    def test_resume_matches_uninterrupted(self, dataset, tmp_path, monkeypatch):
+        import flowbench.runner as runner_mod
 
-        resumed_dir = tmp_path / "resumed"
-        first = small_config(dataset, resumed_dir, models=("dt",))
-        run(first)  # completes only the dt cells
-        manifest = json.loads((resumed_dir / "manifest.json").read_text())
-        assert all(key.endswith(":dt") for key in manifest["completed"])
+        run(small_config(dataset, tmp_path / "full"))
+        config = small_config(dataset, tmp_path / "resumed")
+        real_group, real_fit = runner_mod.run_group, runner_mod.fit_classifier
 
-        second = small_config(dataset, resumed_dir)
-        run(second)  # dt cells resumed, nb cells computed fresh
+        def interrupted_at_lda(fe, *args):
+            if fe == "lda":  # the last group: full and both pca groups are done
+                raise RuntimeError("interrupted")
+            return real_group(fe, *args)
+
+        monkeypatch.setattr(runner_mod, "run_group", interrupted_at_lda)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(config)
+        manifest = json.loads((tmp_path / "resumed" / "manifest.json").read_text())
+        done = {key.split(":")[0] for key in manifest["completed"]}
+        assert done == {"full", "pca"} and len(manifest["completed"]) == 6
+
+        fitted = []  # the input width of each classifier fit of the resumed run; lda has 1
+
+        def counted_fit(spec, train, cfg):
+            fitted.append(train.n_features)
+            return real_fit(spec, train, cfg)
+
+        monkeypatch.setattr(runner_mod, "run_group", real_group)
+        monkeypatch.setattr(runner_mod, "fit_classifier", counted_fit)
+        run(config)  # same config: the manifest's cells are kept, only lda runs
+        assert fitted == [1] * len(config.models) * config.folds
         a = (tmp_path / "full" / "results.csv").read_bytes()
-        b = (resumed_dir / "results.csv").read_bytes()
+        b = (tmp_path / "resumed" / "results.csv").read_bytes()
         assert a == b
 
     def test_mean_rows_have_pooled_auc(self, dataset, tmp_path):
@@ -278,8 +303,8 @@ class TestRun:
     def test_results_cells_are_manifest_values(self, dataset, tmp_path):
         out = tmp_path / "out"
         run(small_config(dataset, out, dimensions=(2, 50), fe_methods=("full", "pca")))
-        records, _ = run_summary(*read_manifest(out))
         rows = read_csv(out / "results.csv")
+        records = write_outputs(out, *read_manifest(out))
         assert rows[0] == list(RESULT_COLUMNS)
         assert len(rows) == 1 + len(records)
         assert any(r["status"] == "failed" for r in records)
