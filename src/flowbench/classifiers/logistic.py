@@ -1,10 +1,11 @@
-"""L2-regularized logistic regression fitted with limited-memory quasi-Newton.
+"""L2-regularized logistic regression fitted with damped Newton steps.
 
 Minimizes 0.5*||w||^2 + C * sum_i om_i * log(1 + exp(-yt_i * (w.x_i + b)))
-with yt in {-1,+1} and the bias excluded from the penalty. The solver is
-L-BFGS (history 10, two-loop recursion) with Armijo backtracking, stopping
-when the gradient max-norm drops to the tolerance or the iteration cap is
-reached.
+with yt in {-1,+1} and the bias excluded from the penalty. Each step
+solves H p = -g on the exact (d+1)x(d+1) Hessian (steepest descent when
+H is singular) and backtracks from a unit step until the Armijo condition
+holds, stopping when the gradient max-norm drops to the tolerance or the
+iteration cap is reached.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..nn.layers import sigmoid
 C = 1.0
 TOL = 1e-4
 MAX_ITER = 100
-HISTORY = 10  # curvature pairs kept
 
 
 @dataclass
@@ -46,21 +46,18 @@ def _loss_grad(theta, x, y_pm, sw, C):
     return loss, grad
 
 
-def _two_loop(grad, s_hist, y_hist):
-    """L-BFGS descent direction from the stored curvature pairs."""
-    q = grad.copy()
-    k = len(s_hist)
-    rhos = [1.0 / (s @ yv) for s, yv in zip(s_hist, y_hist)]
-    alphas = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        alphas[i] = rhos[i] * (s_hist[i] @ q)
-        q -= alphas[i] * y_hist[i]
-    if k:
-        q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-    for i in range(k):
-        beta = rhos[i] * (y_hist[i] @ q)
-        q += (alphas[i] - beta) * s_hist[i]
-    return -q
+def _hessian(theta, x, sw, C):
+    """C * [x, 1]^T diag(c) [x, 1] + diag(1, ..., 1, 0), c_i = om_i * s_i * (1 - s_i).
+
+    The blocks come from ``x`` directly: x * c is the one (n, d) temporary.
+    """
+    s = sigmoid(-np.abs(x @ theta[:-1] + theta[-1]))  # the smaller of sigma(z), 1 - sigma(z)
+    c = C * sw * s * (1.0 - s)
+    h = np.empty((theta.size, theta.size))
+    h[:-1, :-1] = x.T @ (x * c[:, None]) + np.eye(x.shape[1])
+    h[-1, :-1] = h[:-1, -1] = c @ x
+    h[-1, -1] = c.sum()
+    return h
 
 
 def lr_fit(train: FeatureMatrix, sample_weight=None) -> LrModel:
@@ -78,38 +75,29 @@ def lr_fit(train: FeatureMatrix, sample_weight=None) -> LrModel:
     f, g = _loss_grad(theta, x, y_pm, sw, C)
     if not np.isfinite(f):
         raise FloatingPointError("non-finite loss at the starting point")
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
     iterations = 0
     for _ in range(MAX_ITER):
         if np.abs(g).max() <= TOL:
             break
         iterations += 1
-        direction = _two_loop(g, s_hist, y_hist)
+        try:
+            direction = np.linalg.solve(_hessian(theta, x, sw, C), -g)
+        except np.linalg.LinAlgError:  # a singular Hessian: steepest descent
+            direction = -g
         slope = g @ direction
-        if slope >= 0:  # stale curvature produced an ascent direction
+        if not slope < 0:  # rounding produced an ascent (or NaN) direction
             direction = -g
             slope = -(g @ g)
         # Armijo backtracking from a unit step
         alpha = 1.0
-        accepted = False
         for _ in range(40):
             theta_new = theta + alpha * direction
             f_new, g_new = _loss_grad(theta_new, x, y_pm, sw, C)
             if np.isfinite(f_new) and f_new <= f + 1e-4 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:  # no step decreased the loss enough
             break
-        s = theta_new - theta
-        yv = g_new - g
-        if s @ yv > 1e-10:
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > HISTORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
         theta, f, g = theta_new, f_new, g_new
         if not np.isfinite(f):
             raise FloatingPointError("non-finite loss during optimization")

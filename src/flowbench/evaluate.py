@@ -108,13 +108,13 @@ def metrics(counts: ConfusionCounts) -> EvalReport:
     )
 
 
-def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
-    """ROC by sweeping distinct scores descending (ties grouped) + trapezoidal AUC.
+def _operating_points(probabilities, labels) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integer (fp, tp) counts at every operating point, and the AUC over them.
 
-    The trapezoid over a tie group averages the corner points, so the area
-    equals the Mann-Whitney statistic P(s+ > s-) + 0.5 * P(s+ = s-). The
-    area is taken over every operating point; the returned curve holds
-    only the vertices, found exactly on the integer (fp, tp) counts.
+    Sweeps the distinct scores descending with ties grouped, from (0, 0) to
+    (n_neg, n_pos). The trapezoid over a tie group averages the corner
+    points, so the area equals the Mann-Whitney statistic
+    P(s+ > s-) + 0.5 * P(s+ = s-).
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels)
@@ -134,16 +134,21 @@ def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
     group_ends = np.concatenate([boundary, [p.shape[0] - 1]])
     tp = np.concatenate([[0], np.cumsum(sorted_y)[group_ends]])
     fp = np.concatenate([[0], group_ends + 1]) - tp
+    return fp, tp, float(np.trapezoid(tp / n_pos, fp / n_neg))
 
-    dr = tp / n_pos
-    far = fp / n_neg
-    auc = float(np.trapezoid(dr, far))
+
+def roc_auc(probabilities, labels) -> tuple[RocCurve, float]:
+    """The ROC curve's vertices and the AUC over every operating point.
+
+    The vertices are found exactly on the integer (fp, tp) counts.
+    """
+    fp, tp, auc = _operating_points(probabilities, labels)
     # every step goes up or right, so a zero cross product of two
     # consecutive steps means the point between them is on a straight run
     dfp, dtp = np.diff(fp), np.diff(tp)
     vertex = np.ones(tp.size, dtype=bool)
     vertex[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
-    return RocCurve(far=far[vertex], dr=dr[vertex]), auc
+    return RocCurve(far=fp[vertex] / fp[-1], dr=tp[vertex] / tp[-1]), auc
 
 
 def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -> dict:
@@ -171,7 +176,7 @@ def per_attack_dr(probabilities, labels, attack_types, threshold: float = 0.5) -
 def evaluate(probabilities, labels, threshold: float = 0.5) -> EvalReport:
     """Assemble a full report for one scored test set."""
     report = metrics(confusion(probabilities, labels, threshold))
-    _, auc = roc_auc(probabilities, labels)
+    _, _, auc = _operating_points(probabilities, labels)  # the area alone, no curve
     return replace(report, auc=auc)
 
 

@@ -25,7 +25,7 @@ import logging
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
+            if name != "dimensions" and not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
             if name != "dimensions" and len(set(value)) < len(value):  # cells would run twice
                 raise ValueError(f"{name} must be a list without repeats, got {value!r}")
         self.fe_methods = tuple(self.fe_methods)
@@ -138,6 +140,10 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{source}: unknown config key(s) {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+        missing -= raw.keys()
+        if missing:
+            raise ValueError(f"{source}: missing config key(s) {sorted(missing)}")
         try:
             return cls(**raw)
         except ValueError as exc:

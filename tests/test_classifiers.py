@@ -18,7 +18,9 @@ from flowbench.nn import TrainConfig, build_network, parameter_count
 from flowbench.persist import load_model, save_model
 from flowbench.preprocess import ClassWeights
 
+import lr_reference
 from helpers import blobs
+from lr_reference import reference_lr_fit
 from tree_reference import reference_best_split, reference_candidates, reference_dt_fit
 
 
@@ -454,6 +456,81 @@ class TestLogisticRegression:
         weighted = lr_fit(fm, sample_weight=ClassWeights(w0=0.555, w1=5.0).per_sample(fm.labels))
         # upweighting the minority class detects more of it
         assert (lr_score(weighted, fm) >= 0.5).sum() >= (lr_score(plain, fm) >= 0.5).sum()
+
+
+def _lr_loss(model, fm, sw):
+    theta = np.append(model.weights, model.bias)
+    sw = np.ones(fm.n_samples) if sw is None else sw
+    return _loss_grad(theta, fm.values, 2.0 * fm.labels - 1.0, sw, model.C)[0]
+
+
+def _skewed_blobs(weighted, seed):
+    fm = blobs(n0=300, n1=60, d=6, separation=1.0, seed=seed)
+    return fm, (ClassWeights(w0=0.6, w1=3.0).per_sample(fm.labels) if weighted else None)
+
+
+class TestNewtonAgainstReference:
+    """The Newton fit against the L-BFGS fit in tests/lr_reference.py."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_minimizer(self, monkeypatch, weighted, seed):
+        # At TOL = 1e-4 each solver stops up to about 5e-5 from the minimizer,
+        # so both are driven closer; below about 1e-7 the loss's rounding
+        # hides the Armijo decrease and neither can get there.
+        monkeypatch.setattr(logistic, "TOL", 1e-6)
+        monkeypatch.setattr(lr_reference, "TOL", 1e-6)
+        fm, sw = _skewed_blobs(weighted, seed)
+        got, want = lr_fit(fm, sw), reference_lr_fit(fm, sw)
+        assert got.converged and want.converged
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-6)
+        assert abs(got.bias - want.bias) <= 1e-6
+        loss_want = _lr_loss(want, fm, sw)
+        assert _lr_loss(got, fm, sw) <= loss_want * (1 + 1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_few_iterations(self, weighted, seed):
+        fm, sw = _skewed_blobs(weighted, seed)
+        got = lr_fit(fm, sw)
+        assert got.converged and got.iterations_used <= 10
+        # within the stop test's reach of the reference's answer
+        want = reference_lr_fit(fm, sw)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("case", ["separable_1e3", "zero_column", "identical_columns",
+                                      "no_features", "zero_weights"])
+    def test_degenerate_inputs_converge(self, case):
+        fm = blobs(n0=70, n1=30, d=3, seed=9)
+        x, sw = fm.values.copy(), None
+        if case == "separable_1e3":
+            x = np.where(fm.labels[:, None] == 1, 1.0, -1.0) * (1.0 + np.abs(x)) * 1e3
+        elif case == "zero_column":
+            x[:, 1] = 0.0
+        elif case == "identical_columns":
+            x[:, 2] = x[:, 0]
+        elif case == "no_features":
+            x = np.empty((fm.n_samples, 0))
+        else:
+            sw = np.zeros(fm.n_samples)
+        model = lr_fit(matrix(x, fm.labels), sw)
+        assert model.converged
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
+        calls = []
+
+        def singular(a, b):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        fm = blobs(n0=40, n1=40, d=3, seed=7)
+        model = lr_fit(fm)
+        assert calls and all(shape == (4, 4) for shape in calls)
+        assert model.iterations_used == len(calls)
+        origin, _ = _loss_grad(np.zeros(4), fm.values, 2.0 * fm.labels - 1.0, np.ones(80), logistic.C)
+        assert _lr_loss(model, fm, None) < origin
 
 
 class TestGaussianNb:

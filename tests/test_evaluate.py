@@ -160,6 +160,26 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="index 0"):
             roc_auc([float("nan"), 0.9, 0.1, 0.5], [1, 1, 0, 0])
 
+    @pytest.mark.parametrize("kind", ["untied", "tied", "constant"])
+    def test_evaluate_auc_is_the_curves_auc(self, kind):
+        # evaluate takes the area without building the curve
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 2, 300)
+        labels[:2] = [0, 1]
+        scores = {"untied": rng.random(300), "tied": rng.integers(0, 7, 300) / 7,
+                  "constant": np.full(300, 0.25)}[kind]
+        assert repr(evaluate(scores, labels).auc) == repr(roc_auc(scores, labels)[1])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.9], [1, 1]), ([0.1, 0.9], [0, 0]), ([0.1, float("inf")], [0, 1]),
+    ], ids=["all-positive", "all-negative", "non-finite"])
+    def test_evaluate_fails_as_the_curve_does(self, scores, labels):
+        with pytest.raises(ValueError) as want:
+            roc_auc(scores, labels)
+        with pytest.raises(ValueError) as got:
+            evaluate(scores, labels)
+        assert repr(got.value) == repr(want.value)
+
 
 class TestPerAttackDr:
     def test_all_detected(self):

@@ -151,6 +151,20 @@ class TestConfig:
                 f"{path}: threshold must be within [0, 1], got nan")):
             ExperimentConfig.from_file(path)
 
+    def test_missing_key_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing config key(s) ['dataset_path']")):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("key", ["models", "fe_methods"])
+    def test_non_string_list_entry_names_the_file(self, dataset, key, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, "dataset_path": str(dataset), key: [["dt"]]}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {key} must be a list of strings, got [['dt']]")):
+            ExperimentConfig.from_file(path)
+
     def test_result_columns_hold_the_metrics(self):
         fold, pooled = RESULT_COLUMNS.index("fold"), RESULT_COLUMNS.index("auc_pooled")
         assert RESULT_COLUMNS[fold + 1:pooled] == METRICS
