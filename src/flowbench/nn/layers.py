@@ -77,6 +77,11 @@ def _activation_grad(name, out):
     return np.ones_like(out)
 
 
+def _new_array(name, shape):
+    """Inference's stand-in for ``Layer._work_array``: a fresh array each call."""
+    return np.empty(shape)
+
+
 def glorot_uniform(rng, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -95,15 +100,43 @@ class Layer:
     its parameter gradients and returns None; ``Network.backward`` calls
     its lowest such layer that way, since nothing reads the gradient of
     the input batch.
+
+    A layer may write a train-mode ``forward`` result, and any ``backward``
+    result, into work arrays it keeps from step to step (``_work_array``),
+    so such a result is valid until that layer's next train-mode call.
+    Inference allocates: nothing an inference ``forward`` returns is a
+    work array. ``release`` drops the work arrays and the batch state named
+    in ``CACHE``, which may be views of another layer's work arrays.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
+    CACHE: tuple[str, ...] = ()  # the batch arrays forward keeps for backward
+    _work: dict | None = None
 
     def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
+
+    def _work_array(self, name, shape):
+        """The leading ``shape[0]`` rows of the work array ``name``.
+
+        The first (largest) batch of a fit sizes it; more rows or another
+        trailing shape allocate it again.
+        """
+        if self._work is None:
+            self._work = {}
+        kept = self._work.get(name)
+        if kept is None or kept.shape[0] < shape[0] or kept.shape[1:] != shape[1:]:
+            kept = self._work[name] = np.empty(shape)
+        return kept[:shape[0]]
+
+    def release(self):
+        """Drop the work arrays and the cached batch state; parameters stay."""
+        self._work = None
+        for name in self.CACHE:
+            setattr(self, name, None)
 
     def params(self):
         return [getattr(self, p) for p, _ in self.PARAMS]
@@ -114,6 +147,7 @@ class Layer:
 
 class Dense(Layer):
     PARAMS = (("w", "dw"), ("b", "db"))
+    CACHE = ("_x", "_out")
 
     def __init__(self, in_dim, units, activation="linear", rng=None):
         rng = rng or np.random.default_rng(0)
@@ -146,6 +180,7 @@ class Conv1D(Layer):
     """
 
     PARAMS = (("w", "dw"), ("b", "db"))
+    CACHE = ("_cols", "_out")
 
     def __init__(self, in_channels, filters, kernel_size, activation="linear", rng=None):
         rng = rng or np.random.default_rng(0)
@@ -167,26 +202,40 @@ class Conv1D(Layer):
         if t < k:
             raise ValueError(f"sequence length {t} shorter than kernel {k}")
         out_len = t - k + 1
+        f = self.b.size
+        array = self._work_array if train else _new_array
         self._in_shape = x.shape
-        self._cols = np.concatenate(
-            [x[:, j:j + out_len, :] for j in range(k)], axis=2
-        ).reshape(n * out_len, k * c)
-        z = self._cols @ self.w.reshape(k * c, -1) + self.b
-        self._out = _activate(self.activation, z.reshape(n, out_len, -1))
+        cols = np.concatenate(
+            [x[:, j:j + out_len, :] for j in range(k)], axis=2,
+            out=array("cols", (n, out_len, k * c)),
+        )
+        self._cols = cols.reshape(n * out_len, k * c)
+        z = np.matmul(self._cols, self.w.reshape(k * c, f), out=array("z", (n * out_len, f)))
+        z += self.b
+        z = z.reshape(n, out_len, f)
+        if self.activation == "relu":
+            self._out = np.maximum(z, 0.0, out=z)
+        else:
+            self._out = _activate(self.activation, z)
         return self._out
 
     def backward(self, grad, input_grad=True):
-        dz = grad * _activation_grad(self.activation, self._out)
+        out = self._out
+        act_grad = out > 0 if self.activation == "relu" else _activation_grad(self.activation, out)
+        dz = np.multiply(grad, act_grad, out=self._work_array("dz", grad.shape))
         n, out_len, f = dz.shape
         dz2 = dz.reshape(n * out_len, f)
         self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
         self.db[...] = dz.sum(axis=(0, 1))
         if not input_grad:
             return None
-        c = self._in_shape[2]
-        dcols = (dz2 @ self.w.reshape(-1, f).T).reshape(n, out_len, self.kernel_size, c)
-        dx = np.zeros(self._in_shape)
-        for j in range(self.kernel_size):
+        k, c = self.kernel_size, self._in_shape[2]
+        dcols = np.matmul(
+            dz2, self.w.reshape(-1, f).T, out=self._work_array("dcols", (n * out_len, k * c))
+        ).reshape(n, out_len, k, c)
+        dx = self._work_array("dx", self._in_shape)
+        dx[...] = 0.0
+        for j in range(k):
             dx[:, j:j + out_len, :] += dcols[:, :, j, :]
         return dx
 
@@ -211,7 +260,9 @@ class AvgPool1D(Layer):
         self._in_shape = x.shape
         p = self.pool_size
         covered = out_len * p
-        total = x[:, 0:covered:p, :] + 0.0  # mean's sum starts at 0.0: -0.0 becomes 0.0
+        array = self._work_array if train else _new_array
+        # mean's sum starts at 0.0: -0.0 becomes 0.0
+        total = np.add(x[:, 0:covered:p, :], 0.0, out=array("out", (n, out_len, c)))
         for j in range(1, p):
             total += x[:, j:covered:p, :]
         total /= p
@@ -221,8 +272,8 @@ class AvgPool1D(Layer):
         n, out_len, c = grad.shape
         p = self.pool_size
         covered = out_len * p
-        # a remainder of the input gets no gradient, so only then zero-fill
-        dx = (np.empty if covered == self._in_shape[1] else np.zeros)(self._in_shape)
+        dx = self._work_array("dx", self._in_shape)
+        dx[:, covered:, :] = 0.0  # a remainder of the input gets no gradient
         dx[:, :covered, :].reshape(n, out_len, p, c)[...] = (grad / p)[:, :, None, :]
         return dx
 
@@ -235,6 +286,7 @@ class LSTM(Layer):
     """
 
     PARAMS = (("wx", "dwx"), ("wh", "dwh"), ("b", "db"))
+    CACHE = ("_steps",)
 
     def __init__(self, in_dim, units, rng=None):
         rng = rng or np.random.default_rng(0)
@@ -310,6 +362,8 @@ class LSTM(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: train-time scaling by 1/(1-rate), inference is identity."""
+
+    CACHE = ("_mask",)
 
     def __init__(self, rate):
         self.rate = rate

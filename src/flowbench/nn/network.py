@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TrainingDiverged
-from ..ingest import integer, row_weights
+from ..ingest import integer, real, row_weights
 from .layers import AvgPool1D, Conv1D, Dense, Dropout, LSTM, Layer, Reshape
 from .loss import bce_with_grad
 from .optim import Adam
@@ -25,6 +25,7 @@ class TrainConfig:
         self.epochs = integer("epochs", self.epochs)
         self.batch_size = integer("batch_size", self.batch_size)
         self.seed = integer("seed", self.seed)
+        self.learning_rate = real("learning_rate", self.learning_rate)
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -173,6 +174,8 @@ def fit_network(
     Batches are shuffled and dropout masks drawn from cfg.seed's streams.
     ``targets`` and ``sample_weight`` (one finite, non-negative loss
     weight) have one row per row of x, checked once before the first step.
+    The layers keep their work arrays from step to step and drop them when
+    the fit returns or raises.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -190,21 +193,25 @@ def fit_network(
     history = TrainHistory()
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     order = np.arange(n)
-    for epoch in range(cfg.epochs):
-        rng_shuffle.shuffle(order)
-        epoch_loss = 0.0
-        for step in range(steps_per_epoch):
-            sel = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            out = net.forward(x[sel], train=True, rng=rng_dropout)
-            sw = None if sample_weight is None else sample_weight[sel]
-            loss, dout = bce_with_grad(out, targets[sel], sw)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, step)
-            net.backward(dout)
-            adam.step([net.flat_grad])
-            epoch_loss += loss * len(sel)
-            history.steps += 1
-        history.epoch_losses.append(epoch_loss / n)
+    try:
+        for epoch in range(cfg.epochs):
+            rng_shuffle.shuffle(order)
+            epoch_loss = 0.0
+            for step in range(steps_per_epoch):
+                sel = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+                out = net.forward(x[sel], train=True, rng=rng_dropout)
+                sw = None if sample_weight is None else sample_weight[sel]
+                loss, dout = bce_with_grad(out, targets[sel], sw)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch, step)
+                net.backward(dout)
+                adam.step([net.flat_grad])
+                epoch_loss += loss * len(sel)
+                history.steps += 1
+            history.epoch_losses.append(epoch_loss / n)
+    finally:  # the layers' work arrays live for one fit
+        for layer in net.layers:
+            layer.release()
     return history
 
 

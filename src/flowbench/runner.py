@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -36,7 +35,7 @@ from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, variance_report,
 )
-from .ingest import FeatureMatrix, integer, load_feature_matrix, write_csv
+from .ingest import FeatureMatrix, integer, load_feature_matrix, real, write_csv
 from .nn.network import TrainConfig
 from .preprocess import (
     FoldPlan, ScalerModel, apply_scaler, fit_scaler, stratified_kfold, stratified_subsample,
@@ -50,11 +49,6 @@ DEFAULT_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30)
 CONFIG_VERSION = 1
 
 
-def _real(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def _learning_rate(value) -> float:
     """``train.learning_rate`` as a float; a numeric string is also taken."""
     if isinstance(value, str):
@@ -62,8 +56,7 @@ def _learning_rate(value) -> float:
             return float(value)
         except ValueError:
             raise ValueError(f"train.learning_rate must be a number, got {value!r}") from None
-    _real("train.learning_rate", value)
-    return float(value)
+    return real("train.learning_rate", value)
 
 
 @dataclass
@@ -99,7 +92,7 @@ class ExperimentConfig:
             self.subsample = integer("subsample", self.subsample)
             if self.subsample < 1:
                 raise ValueError(f"subsample must be at least 1, got {self.subsample}")
-        _real("threshold", self.threshold)
+        real("threshold", self.threshold)
         if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
             raise ValueError(f"threshold must be within [0, 1], got {self.threshold!r}")
         self.models = tuple(self.models)

@@ -2,9 +2,10 @@
 
 Every kernel here is the one the library used before: the two-division
 sigmoid, one sigmoid call per LSTM gate, pooling by ``mean`` and
-``np.repeat``, ``np.clip`` in the loss, and a backward pass that computes
-every layer's input gradient, the first layer's included. Tests require
-the library to train byte-identical parameters and epoch losses.
+``np.repeat``, the dropout mask as ``(rng.random(shape) < keep) / keep``,
+``np.clip`` in the loss, and a backward pass that computes every layer's
+input gradient, the first layer's included. Tests require the library to
+train byte-identical parameters and epoch losses.
 """
 
 import numpy as np
@@ -168,8 +169,22 @@ class LSTM(layers.LSTM):
         return dx
 
 
+class Dropout(layers.Dropout):
+    def forward(self, x, train=False, rng=None):
+        if not train or self.rate == 0.0:
+            self._mask = None
+            return x
+        keep = 1.0 - self.rate
+        self._mask = (rng.random(x.shape) < keep) / keep
+        return x * self._mask
+
+    def backward(self, grad):
+        return grad if self._mask is None else grad * self._mask
+
+
 REFERENCE_KERNELS = {
     layers.Dense: Dense, layers.Conv1D: Conv1D, layers.AvgPool1D: AvgPool1D, layers.LSTM: LSTM,
+    layers.Dropout: Dropout,
 }
 
 

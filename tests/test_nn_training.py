@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from flowbench.classifiers.nets import cnn_layers, dff_layers, rnn_layers
 from flowbench.errors import TrainingDiverged
-from flowbench.extract import ae_fit, autoencoder_specs
+from flowbench.extract import AeModel, ae_encode, ae_fit, autoencoder_specs
 from flowbench.nn import (
     Adam, LayerSpec, Network, TrainConfig, bce_with_grad, build_network, fit_network,
     parameter_count, train,
 )
+from flowbench.nn.layers import AvgPool1D, Conv1D, Layer
 from flowbench.nn.network import seed_streams
 from flowbench.persist import load_model, save_model
 
@@ -49,6 +51,17 @@ class TestTrain:
     def test_non_integral_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, "0.01", None, [0.01], 1j])
+    def test_non_real_learning_rate_rejected(self, value):
+        message = f"learning_rate must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(learning_rate=value)
+
+    def test_real_learning_rates_become_floats(self):
+        for value in (np.float32(0.25), 1, np.int64(2)):
+            cfg = TrainConfig(learning_rate=value)
+            assert type(cfg.learning_rate) is float and cfg.learning_rate == value
 
     def test_numpy_integers_become_ints(self):
         cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3))
@@ -289,3 +302,106 @@ class TestTrainingBackward:
             grad = layer.backward(grad)
         assert grad.shape == x.shape
         assert net.flat_grad.tobytes() == skipped.tobytes()
+
+
+@pytest.fixture
+def work_arrays(monkeypatch):
+    """Every work array the layers hand out while the test runs, kept alive."""
+    handed = []
+    work_array = Layer._work_array
+
+    def recording(self, name, shape):
+        handed.append(work_array(self, name, shape))
+        return handed[-1]
+
+    monkeypatch.setattr(Layer, "_work_array", recording)
+    return handed
+
+
+def held_arrays(net):
+    """Every array a layer references, through its lists, tuples and dicts."""
+    todo = [vars(layer) for layer in net.layers]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+
+
+def train_step(net, x, targets, seed):
+    """One train-mode step through every layer: (outputs, input gradients), bottom first."""
+    rng = np.random.default_rng(seed)
+    outs = []
+    for layer in net.layers:
+        x = layer.forward(x, train=True, rng=rng)
+        outs.append(x)
+    _, grad = bce_with_grad(x, targets)
+    grads = []
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+        grads.append(grad)
+    return outs, grads[::-1]
+
+
+class TestWorkArrays:
+    """Conv1D and AvgPool1D keep their train-mode arrays from step to step of a fit."""
+
+    def test_reused_across_batches_and_bit_identical_to_a_fresh_network(self):
+        width = 14
+        rng = np.random.default_rng(5)
+        net = build_network(cnn_layers(width), width, rng=np.random.default_rng(6))
+        kept = [i for i, layer in enumerate(net.layers) if isinstance(layer, (Conv1D, AvgPool1D))]
+        assert len(kept) == 5
+        first = None
+        for step, rows in enumerate((128, 16, 128)):
+            x = rng.random((rows, width))
+            targets = rng.integers(0, 2, (rows, 1)).astype(np.float64)
+            fresh = build_network(cnn_layers(width), width, rng=np.random.default_rng(6))
+            outs, grads = train_step(net, x, targets, seed=step)
+            want_outs, want_grads = train_step(fresh, x, targets, seed=step)
+            for got, want in zip(outs + grads, want_outs + want_grads):
+                assert got.tobytes() == want.tobytes()
+            assert net.flat_grad.tobytes() == fresh.flat_grad.tobytes()
+            if first is None:
+                first = outs, grads
+            for i in kept:
+                assert np.shares_memory(outs[i], first[0][i])
+                assert np.shares_memory(grads[i], first[1][i])
+
+    @pytest.mark.parametrize("diverge", [False, True], ids=["returns", "raises"])
+    def test_released_when_the_fit_ends(self, work_arrays, diverge):
+        net = build_network(cnn_layers(14), 14, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).random((40, 14))
+        targets = np.tile([0.0, 1.0], 20)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        if diverge:
+            x[33, 4] = np.nan
+            with pytest.raises(TrainingDiverged):
+                fit_network(net, x, targets, cfg)
+        else:
+            fit_network(net, x, targets, cfg)
+        assert work_arrays
+        assert not any(
+            np.shares_memory(held, work) for held in held_arrays(net) for work in work_arrays
+        )
+
+    def test_inference_results_alias_nothing(self, work_arrays):
+        data = blobs(n0=20, n1=20, d=14, seed=8, scale01=True)
+        net, _ = train(cnn_layers(14), data, TrainConfig(epochs=2, batch_size=16, seed=3))
+        last_conv = max(i for i, layer in enumerate(net.layers) if isinstance(layer, Conv1D))
+        encoder = AeModel(network=net, n_encoder_layers=last_conv + 1, bottleneck=20,
+                          final_loss=0.0)
+        rng = np.random.default_rng(2)
+        inputs = rng.random((2, 40, 14))
+        for infer in (net.predict_proba, lambda v: ae_encode(v, encoder)):
+            one = infer(inputs[0])
+            kept = one.copy()
+            two = infer(inputs[1])
+            train_step(net, inputs[0], np.ones((40, 1)), seed=0)  # refills the work arrays
+            assert not np.shares_memory(one, two)
+            assert one.tobytes() == kept.tobytes()
+            assert work_arrays
+            assert not any(np.shares_memory(r, w) for r in (one, two) for w in work_arrays)
