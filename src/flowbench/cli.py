@@ -14,13 +14,9 @@ from .synth import SynthSpec, schema_for, synth_generate
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "subsample": args.subsample,
-        "output_dir": args.out,
-        "fit_global": args.fit_global or None,
-    }
-    config = ExperimentConfig.from_file(args.config, **overrides)
+    config = ExperimentConfig.from_file(
+        args.config, seed=args.seed, subsample=args.subsample, output_dir=args.out
+    )
     records = run(config, jobs=args.jobs)
     ok = sum(1 for r in records if r["fold"] == "mean" and r["status"] == "ok")
     failed = sum(1 for r in records if r["status"] != "ok")
@@ -57,6 +53,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)  # argparse names the flag when this raises
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowbench",
@@ -69,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config (JSON)")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--subsample", type=int, default=None, help="stratified row cap")
-    p_run.add_argument("--fit-global", action="store_true",
-                       help="fit scaler/extractor on the full data instead of per fold")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel (fe, dims) groups")
+    p_run.add_argument("--jobs", type=_at_least_one, default=1,
+                       help="parallel (fe, dims) groups")
     p_run.add_argument("--out", default=None, help="override config output_dir")
     p_run.set_defaults(func=_cmd_run)
 

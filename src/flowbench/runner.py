@@ -3,15 +3,17 @@
 A run loads one dataset and builds a stratified fold plan. Per fold it
 fits the scaler, and PCA at full width, on the training portion only;
 every (fe, dims) group shares those fold fits, a PCA group taking the
-top-dims prefix of the one SVD. A group then fits its LDA or AE per fold,
-transforms both portions, trains each classifier, evaluates the held-out
-fold and returns its finished cells: their manifest entries and pooled
-ROC curves. After every group the run writes the group's ROC files and
-flushes manifest.json, so an interrupted sweep resumes from its manifest
-and reproduces the uninterrupted byte-identical results.csv. The tables
-(results.csv, sweeps/, best_per_model.csv, summary.txt) are rendered once
-from the completed cells, by ``write_outputs``: at the end of ``run``, or
-by ``flowbench report``.
+top-dims prefix of the one SVD. A group then fits its LDA or AE on the
+same training portion, transforms both portions, trains each classifier,
+evaluates the held-out fold and returns its finished cells: their
+manifest entries and pooled ROC curves. Only the descriptive variance/
+reports are fitted on all rows, and they feed no cell. After every
+group the run writes the group's ROC files and flushes manifest.json, so
+an interrupted sweep resumes from its manifest and reproduces the
+uninterrupted byte-identical results.csv. The tables (results.csv,
+sweeps/, best_per_model.csv, summary.txt) are rendered once from the
+completed cells, by ``write_outputs``: at the end of ``run``, or by
+``flowbench report``.
 
 Every random draw derives from a stable hash of (seed, cell identity),
 making results independent of scheduling and of which cells already ran.
@@ -70,7 +72,6 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     subsample: int | None = None
-    fit_global: bool = False
     threshold: float = 0.5
     train: dict = field(default_factory=dict)
     output_dir: str = "out"
@@ -256,32 +257,28 @@ def _fitted(fit):
 
 
 def _fold_fits(config: ExperimentConfig, fm: FeatureMatrix, plan: FoldPlan,
-               with_pca: bool, global_fit) -> list[FoldFit]:
-    """Each fold's rows with the scaler and full-width PCA of its training
-    rows; with ``fit_global`` every fold shares ``global_fit``, the
-    (scaler, PCA) pair fitted on all rows."""
+               with_pca: bool) -> list[FoldFit]:
+    """Each fold's rows with the scaler and full-width PCA of its training rows."""
     fits = []
     for fold in range(config.folds):
         train_idx, test_idx = plan.train_test_indices(fold)
-        scaler, pca = global_fit
-        if not config.fit_global:
-            train = fm.take(train_idx)
-            scaler = _attempt(lambda: fit_scaler(train))
-            pca = None
-            if with_pca:
-                pca = _attempt(lambda: _full_pca(apply_scaler(train, _fitted(scaler))))
+        train = fm.take(train_idx)
+        scaler = _attempt(lambda: fit_scaler(train))
+        pca = None
+        if with_pca:
+            pca = _attempt(lambda: _full_pca(apply_scaler(train, _fitted(scaler))))
         fits.append(FoldFit(train_idx, test_idx, scaler, pca))
     return fits
 
 
-def _fit_extractor(fe, dims, fold_fit: FoldFit, train_s, config, fold_tag):
+def _fit_extractor(fe, dims, fold_fit: FoldFit, train_s, config, fold):
     if fe == "full":
         return None
     if fe == "pca":
         return pca_truncate(_fitted(fold_fit.pca), dims)
     if fe == "lda":
         return lda_fit(train_s)
-    seed = derive_seed(config.seed, fe, dims, fold_tag, "extractor")
+    seed = derive_seed(config.seed, fe, dims, fold, "extractor")
     return ae_fit(train_s, dims, config.train_config(seed))
 
 
@@ -309,12 +306,7 @@ def run_group(fe, dims, config: ExperimentConfig, fm: FeatureMatrix,
             scaler = _fitted(fit.scaler)
             train_s = apply_scaler(fm.take(fit.train_idx), scaler)
             test_s = apply_scaler(fm.take(fit.test_idx), scaler)
-            if not config.fit_global:
-                extractor = _fit_extractor(fe, dims, fit, train_s, config, fold)
-            elif fold == 0:  # with --fit-global one fit on all rows serves every fold
-                extractor = _fit_extractor(
-                    fe, dims, fit, apply_scaler(fm, scaler), config, "global"
-                )
+            extractor = _fit_extractor(fe, dims, fit, train_s, config, fold)
             train_z = _apply_extractor(fe, extractor, train_s)
             test_z = _apply_extractor(fe, extractor, test_s)
         except Exception as exc:  # extractor failure poisons the whole group
@@ -408,15 +400,23 @@ def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
     path = Path(run_dir) / "manifest.json"
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return ExperimentConfig.from_dict(doc["config"], path), doc["completed"]
+    raw = doc["config"]
+    if isinstance(raw, dict) and "fit_global" in raw:  # from before per-fold-only fitting
+        raw = dict(raw)
+        if raw.pop("fit_global"):
+            raise ValueError(f"{path}: run with fit_global, whose scaler and extractors "
+                             "saw the test rows; rerun it")
+    return ExperimentConfig.from_dict(raw, path), doc["completed"]
 
 
-def _write_variance_reports(scaled: FeatureMatrix, pca: PcaModel | None,
-                            out_dir: Path, dataset: str) -> None:
-    """Descriptive per-dimension variance of PCA/LDA on the scaled dataset."""
+def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> None:
+    """Descriptive per-dimension variance of PCA/LDA on the whole scaled
+    dataset: the only fits on all rows, which feed no cell."""
     var_dir = out_dir / "variance"
     var_dir.mkdir(exist_ok=True)
-    if pca is not None:
+    scaled = apply_scaler(fm, fit_scaler(fm))
+    if min(fm.n_features, fm.n_samples - 1) >= 1:
+        pca = _full_pca(scaled)
         report = variance_report(
             pca_transform(scaled, pca), "pca", total_variance=pca.total_variance
         )
@@ -435,11 +435,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     (out_dir / "roc").mkdir(exist_ok=True)
 
     fm = load_dataset(config)
-    # the variance report's fits on all rows; with fit_global they serve every fold
-    scaler = fit_scaler(fm)
-    scaled = apply_scaler(fm, scaler)
-    pca = _full_pca(scaled) if min(fm.n_features, fm.n_samples - 1) >= 1 else None
-    _write_variance_reports(scaled, pca, out_dir, config.schema_name)
+    _write_variance_reports(fm, out_dir, config.schema_name)
     plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
     manifest = out_dir / "manifest.json"
     completed = _load_completed(manifest, config)
@@ -457,10 +453,10 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         if pending:
             todo.append((fe, dims, pending))
     with_pca = any(fe == "pca" for fe, _, _ in todo)
-    fold_fits = _fold_fits(config, fm, plan, with_pca, (scaler, pca))
+    fold_fits = _fold_fits(config, fm, plan, with_pca)
 
     if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             futures = {
                 pool.submit(run_group, fe, dims, config, fm, fold_fits, pending): (fe, dims)
                 for fe, dims, pending in todo

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from flowbench.cli import main
-from flowbench.runner import CONFIG_VERSION, ExperimentConfig, best_per_model, read_manifest, run
+from flowbench.runner import CONFIG_VERSION, best_per_model, read_manifest
 
 
 @pytest.fixture()
@@ -207,25 +207,35 @@ def test_report_checks_manifest_config_version(synth_csv, tmp_path):
     assert str(manifest) in str(err.value)
 
 
-def test_run_fit_global_flag(synth_csv, tmp_path):
-    config = {
-        "version": CONFIG_VERSION,
-        "dataset_path": str(synth_csv),
-        "schema_name": "synthetic",
-        "fe_methods": ["full", "pca"],
-        "dimensions": [2],
-        "models": ["dt", "nb"],
-        "folds": 3,
-        "seed": 3,
-        "output_dir": str(tmp_path / "cli"),
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg_path), "--fit-global"]) == 0
-    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
-    assert manifest["config"]["fit_global"] is True
+@pytest.mark.parametrize("fit_global", [True, False])
+def test_report_on_run_from_before_per_fold_only_fitting(synth_csv, tmp_path, fit_global):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", _run_config(synth_csv, tmp_path, out_dir)]) == 0
+    written = {name: (out_dir / name).read_bytes() for name in DERIVED}
+    manifest = out_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["fit_global"] = fit_global
+    manifest.write_text(json.dumps(doc))
+    for name in ("results.csv", "best_per_model.csv", "summary.txt"):
+        (out_dir / name).unlink()
+    shutil.rmtree(out_dir / "sweeps")
+    if fit_global:  # its cells were fitted on the test rows too
+        with pytest.raises(ValueError, match="fit_global") as err:
+            main(["report", "--in", str(out_dir)])
+        assert str(manifest) in str(err.value)
+    else:
+        assert main(["report", "--in", str(out_dir)]) == 0
+        assert {name: (out_dir / name).read_bytes() for name in DERIVED} == written
 
-    config.pop("version")
-    run(ExperimentConfig(**dict(config, fit_global=True, output_dir=str(tmp_path / "api"))))
-    results = (tmp_path / "cli" / "results.csv").read_bytes()
-    assert results == (tmp_path / "api" / "results.csv").read_bytes()
+
+@pytest.mark.parametrize("argv, message", [
+    (["--fit-global"], "unrecognized arguments: --fit-global"),
+    (["--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+    (["--jobs", "-2"], "argument --jobs: must be at least 1, got -2"),
+    (["--jobs", "two"], "argument --jobs: invalid"),
+], ids=["fit-global", "jobs-0", "jobs-negative", "jobs-not-a-number"])
+def test_run_rejects_bad_flags(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", str(tmp_path / "cfg.json"), *argv])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err

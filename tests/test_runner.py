@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from flowbench.runner import (
     DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
     derive_seed, load_dataset, read_manifest, run, write_outputs,
 )
+from flowbench.preprocess import stratified_kfold
 from flowbench.schema import get_schema, schema_to_file
 from flowbench.synth import SynthSpec, synth_generate
 from helpers import full_roc, roc_vertices
@@ -139,8 +141,10 @@ class TestConfig:
 
     def test_unknown_key_names_the_file(self, dataset, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"version": 1, "dataset_path": str(dataset), "bogus": 1}))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key(s) ['bogus']")):
+        path.write_text(json.dumps({"version": 1, "dataset_path": str(dataset), "bogus": 1,
+                                    "fit_global": False}))  # per-fold fitting is the only mode
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unknown config key(s) ['bogus', 'fit_global']")):
             ExperimentConfig.from_file(path)
 
     def test_bad_field_value_names_the_file(self, dataset, tmp_path):
@@ -390,11 +394,34 @@ class TestRun:
         b = (tmp_path / "par" / "results.csv").read_bytes()
         assert a == b
 
+    def test_jobs_start_no_more_workers_than_groups(self, dataset, tmp_path, monkeypatch):
+        import flowbench.runner as runner_mod
+
+        pools = []
+
+        class InlinePool:  # records max_workers and runs each group at submit
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InlinePool)
+        records = run(small_config(dataset, tmp_path / "out"), jobs=64)
+        assert pools == [4]  # full, pca 2, pca 3 and lda
+        assert all(r["status"] == "ok" for r in records)
+
 
 class TestSharedFits:
-    @pytest.mark.parametrize("fit_global", [False, True])
-    def test_scaler_and_svd_fitted_once_per_fold(self, dataset, tmp_path, monkeypatch,
-                                                 fit_global):
+    def test_scaler_and_svd_fitted_once_per_fold(self, dataset, tmp_path, monkeypatch):
         import flowbench.runner as runner_mod
 
         calls = {"fit_scaler": 0, "pca_fit": 0}
@@ -407,12 +434,11 @@ class TestSharedFits:
 
             monkeypatch.setattr(runner_mod, name, counted)
         config = small_config(dataset, tmp_path / "out", dimensions=(1, 2, 3),
-                              models=("nb",), fit_global=fit_global)
+                              models=("nb",))
         records = run(config)
         assert all(r["status"] == "ok" for r in records)
-        # one fit per fold, plus the variance report's fit on all rows;
-        # with fit_global the report's fit is the only one
-        expected = 1 if fit_global else config.folds + 1
+        # one fit per fold, plus the variance report's fit on all rows
+        expected = config.folds + 1
         assert calls == {"fit_scaler": expected, "pca_fit": expected}
 
     def test_failed_fold_pca_fails_only_pca_cells(self, dataset, tmp_path, monkeypatch):
@@ -539,53 +565,45 @@ def test_crashed_worker_keeps_finished_groups(dataset, tmp_path, monkeypatch):
 
 class TestFoldIsolation:
     def test_no_statistic_from_test_rows(self, dataset, tmp_path, monkeypatch):
-        """Scaler and extractor fits must only ever see training-fold rows."""
+        """Every scaler and extractor fit sees exactly its fold's training rows;
+        only the variance report, which feeds no cell, fits on all rows."""
         import flowbench.runner as runner_mod
 
-        seen_scaler, seen_pca = [], []
-        real_fit_scaler = runner_mod.fit_scaler
-        real_pca_fit = runner_mod.pca_fit
+        seen = {"fit_scaler": [], "pca_fit": [], "lda_fit": [], "ae_fit": []}
+        for name, calls in seen.items():
+            def spy(fm, *args, _real=getattr(runner_mod, name), _calls=calls):
+                _calls.append((fm.n_samples, int(fm.labels.sum())))
+                return _real(fm, *args)
 
-        def spy_scaler(fm):
-            seen_scaler.append(fm.n_samples)
-            return real_fit_scaler(fm)
+            monkeypatch.setattr(runner_mod, name, spy)
+        config = small_config(dataset, tmp_path / "out", fe_methods=("pca", "lda", "ae"),
+                              dimensions=(2,), models=("nb",), folds=3,
+                              train={"epochs": 1, "batch_size": 64})
+        fm = load_dataset(config)
+        plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
+        train_labels = [fm.labels[plan.train_test_indices(f)[0]] for f in range(config.folds)]
+        train_rows = [(labels.size, int(labels.sum())) for labels in train_labels]
+        records = run(config)
+        assert all(r["status"] == "ok" for r in records)
+        all_rows = (fm.n_samples, int(fm.labels.sum()))
+        for name in ("fit_scaler", "pca_fit", "lda_fit"):  # the variance report's, first
+            assert seen[name][0] == all_rows
+            assert seen[name][1:] == train_rows, name
+        assert seen["ae_fit"] == train_rows
 
-        def spy_pca(fm, k):
-            seen_pca.append(fm.n_samples)
-            return real_pca_fit(fm, k)
-
-        monkeypatch.setattr(runner_mod, "fit_scaler", spy_scaler)
-        monkeypatch.setattr(runner_mod, "pca_fit", spy_pca)
-
-        config = small_config(dataset, tmp_path / "out", fe_methods=("pca",),
-                              dimensions=(2,), models=("nb",), folds=3)
-        from flowbench.runner import load_dataset as _load
-
-        n_total = _load(config).n_samples
-        run(config)
-        # first fit is the descriptive variance report on the full matrix
-        assert seen_scaler[0] == n_total and seen_pca[0] == n_total
-        for n in seen_scaler[1:] + seen_pca[1:]:
-            assert n < n_total
-
-    def test_fit_global_flag_sees_all_rows(self, dataset, tmp_path, monkeypatch):
-        import flowbench.runner as runner_mod
-
-        seen = []
-        real = runner_mod.fit_scaler
-
-        def spy(fm):
-            seen.append(fm.n_samples)
-            return real(fm)
-
-        monkeypatch.setattr(runner_mod, "fit_scaler", spy)
-        config = small_config(dataset, tmp_path / "out", fe_methods=("full",),
-                              models=("nb",), folds=3, fit_global=True)
-        from flowbench.runner import load_dataset as _load
-
-        n_total = _load(config).n_samples
-        run(config)
-        assert all(n == n_total for n in seen)
+    def test_no_signal_scores_chance(self, tmp_path):
+        """Known answer: on features that carry no signal, an LDA fitted on all
+        rows reads the test labels and scored 0.672 mean AUC; per fold it is 0.481."""
+        path = tmp_path / "noise.csv"
+        spec = SynthSpec(rows=600, n_informative=0, n_noise=40, separation=0.0)
+        synth_generate(spec, seed=11, path=path)
+        config = ExperimentConfig(dataset_path=str(path), fe_methods=("lda",),
+                                  models=("lr", "nb"), folds=5, seed=0,
+                                  output_dir=str(tmp_path / "out"))
+        means = [r for r in run(config) if r["fold"] == "mean"]
+        assert [r["model"] for r in means] == ["lr", "nb"]
+        for r in means:
+            assert r["status"] == "ok" and r["auc"] < 0.6, r
 
 
 class TestBestSelection:
