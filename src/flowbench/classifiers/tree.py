@@ -5,19 +5,25 @@ consecutive distinct sorted values of each feature (see ``midpoint``), and
 ties break to the lowest feature index, then the lowest threshold. A
 candidate whose weighted Gini is NaN (a side's weight rounded to 0) is no
 split. The tree grows until nodes are pure or no candidate split reduces
-the weighted impurity; a split that would leave a child empty leaves its
-node a leaf, so every fit ends.
+the weighted impurity. A threshold lies in [a, b) of the neighbours it
+separates, so a split sends left the rows of its feature's sorted order up
+to the cut and the rest right, and both children hold rows.
 
 A fit sorts each feature once, with a stable sort (SLIQ, Mehta et al.
 1996). Each node keeps its rows in every feature's sorted order, and a
 split hands each child its part of every list by one stable partition, so
-no node sorts again. A node searches all of its features at once, in
-blocks of about ``SEARCH_BLOCK`` (feature, row) entries.
+no node sorts again. A node of more than ``SMALL`` rows is searched alone,
+depth first, over all of its features at once. Smaller nodes wait in a
+pool; once no large node is left, the pool's row lists are laid side by
+side and searched together, one level of the pool at a time (SLIQ's
+breadth-first pass), so that a small node costs a few numpy calls rather
+than a few dozen. Both searches run the same Gini arithmetic, in blocks of
+about ``SEARCH_BLOCK`` (feature, row) entries, and give the same trees;
+nodes are numbered at the end as the depth-first fit numbers them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ import numpy as np
 from ..ingest import FeatureMatrix, row_weights
 
 SEARCH_BLOCK = 1 << 12  # (feature, row) entries per block: bounds the search's temporaries
+SMALL = 64  # nodes of at most this many rows are searched together, a level at a time
 
 
 @dataclass
@@ -62,15 +69,17 @@ def gini(weight0: float, weight1: float) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def midpoint(a: float, b: float) -> float:
-    """A threshold t with a <= t < b for neighbouring values a < b.
+def midpoint(a, b):
+    """Thresholds t with a <= t < b for neighbouring values a < b, elementwise.
 
     ``a / 2 + b / 2`` cannot overflow, and rounds as ``(a + b) / 2`` does
-    outside the subnormal range; when it rounds up to ``b`` (adjacent
+    outside the subnormal range; where it rounds up to ``b`` (adjacent
     doubles) or is not finite, ``a`` is the threshold.
     """
-    t = float(a) / 2.0 + float(b) / 2.0
-    return t if t != b and math.isfinite(t) else float(a)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    t = a / 2.0 + b / 2.0
+    return np.where((t != b) & np.isfinite(t), t, a)
 
 
 def presort(x) -> np.ndarray:
@@ -79,6 +88,127 @@ def presort(x) -> np.ndarray:
     Row 0 is 0..n-1; row 1 + f holds the same rows sorted stably by feature f.
     """
     return np.vstack([np.arange(x.shape[0]), np.argsort(x.T, axis=1, kind="stable")])
+
+
+def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
+    """The weighted Gini of the cut after each entry of ``block``; inf where no cut is.
+
+    ``block`` (f, m) holds nodes' rows sorted by each of ``features`` (f, 1),
+    one node per column segment ``bounds[i]:bounds[i + 1]``. The totals are a
+    node's class-0, class-1 and total weight: scalars for one node, or one
+    entry per column. A NaN Gini (a side's weight rounded to 0) stays NaN.
+    """
+    # side[s, f, k] and cls[c, s, f, k]: the weight and the class-c weight on
+    # side s (left, right) of the cut after sorted position k; cls becomes
+    # p_c^2, then 1 - p0^2 - p1^2 times the side's weight in cls[0]. Every
+    # step is the per-feature scan's arithmetic, in its order, so that the
+    # result is bit-identical to it.
+    buf = np.empty((6,) + block.shape)
+    side, cls = buf[:2], buf[2:].reshape((2, 2) + block.shape)
+    side[0] = w[block]
+    np.multiply(side[0], y1[block], out=cls[1, 0])
+    sums = buf[::4]  # side[0] and cls[1, 0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):  # each node's sums start at 0
+        np.add.accumulate(sums[:, :, lo:hi], axis=2, out=sums[:, :, lo:hi])
+    np.subtract(side[0], cls[1, 0], out=cls[0, 0])
+    np.subtract(total_w0, cls[0, 0], out=cls[0, 1])
+    np.subtract(total_w1, cls[1, 0], out=cls[1, 1])
+    np.subtract(total_w, side[0], out=side[1])
+    last = -1 if len(bounds) == 2 else [hi - 1 for hi in bounds[1:]]
+    side[1][:, last] = 1.0  # nothing lies right of a node's last row: no cut there
+    np.divide(cls, side, out=cls)
+    np.square(cls, out=cls)
+    g = cls[0]
+    np.subtract(1.0, g, out=g)
+    np.subtract(g, cls[1], out=g)
+    np.multiply(side, g, out=g)
+    g = np.add(g[0], g[1], out=g[0])
+    np.divide(g, total_w, out=g)
+    xs = x[block, features]
+    g[:, :-1][xs[:, :-1] == xs[:, 1:]] = np.inf  # no threshold between equal values
+    g[:, last] = np.inf
+    return g
+
+
+def _totals(node_w, class1_w):
+    """A node's (class-0, class-1, total) weight from its row weights and its class-1 rows'."""
+    total_w = np.add.reduce(node_w)
+    total_w1 = float(np.add.reduce(class1_w))
+    return total_w - total_w1, total_w1, total_w
+
+
+def _search_node(x, y1, w, lists):
+    """The best cut of one node, (feature, sorted position, weighted Gini), or None.
+
+    ``lists`` holds the node's rows in the layout of ``presort``. The cut
+    after sorted position k of feature f sends that feature's first k + 1
+    rows left. None when no cut strictly reduces the node's impurity.
+    """
+    rows, order = lists[0], lists[1:]
+    node_w = w[rows]
+    totals = _totals(node_w, node_w[y1[rows]])
+    d, m = order.shape
+    if m < 2 or d == 0:
+        return None
+    features = np.arange(d)[:, None]
+    step = max(1, SEARCH_BLOCK // m)
+    best = None
+    for lo in range(0, d, step):
+        g = _cut_gini(x, y1, w, order[lo:lo + step], features[lo:lo + step], (0, m), *totals)
+        f, k = divmod(int(g.argmin()), m)  # lowest feature, then lowest position
+        v = g[f, k]
+        if v != v:  # argmin stops at the first NaN; a NaN Gini is no split
+            g[np.isnan(g)] = np.inf
+            f, k = divmod(int(g.argmin()), m)
+            v = g[f, k]
+        if best is None or v < best[2]:
+            best = (lo + f, k, v)
+    if not best[2] < gini(*totals[:2]):  # nor is a NaN impurity (the weights overflowed) reduced
+        return None
+    return best
+
+
+def _search_pool(x, y1, w, lists, bounds, total_w0, total_w1, total_w):
+    """The best cut of each node laid side by side in ``lists``.
+
+    Node i holds columns ``bounds[i]:bounds[i + 1]`` of ``lists`` (the layout
+    of ``presort``), and the totals hold one entry per column. Returns the
+    (weighted Gini, feature, sorted position) arrays, one entry per node;
+    the Gini is inf where a node has no cut. The choice is ``_search_node``'s:
+    NaN is no cut, then the lowest feature, then the lowest position.
+    """
+    order = lists[1:]
+    d = order.shape[0]
+    nodes = len(bounds) - 1
+    features = np.arange(d)[:, None]
+    width = max(1, SEARCH_BLOCK // d)
+    chunks = []
+    i = 0
+    while i < nodes:  # nodes of about SEARCH_BLOCK entries at a time
+        j = i + 1
+        while j < nodes and bounds[j + 1] - bounds[i] <= width:
+            j += 1
+        lo, hi = bounds[i], bounds[j]
+        local = [b - lo for b in bounds[i:j + 1]]
+        starts, sizes = np.array(local[:-1]), np.diff(local)
+        m = hi - lo
+        step = max(1, SEARCH_BLOCK // m)
+        for f0 in range(0, d, step):
+            g = _cut_gini(x, y1, w, order[f0:f0 + step, lo:hi], features[f0:f0 + step], local,
+                          total_w0[lo:hi], total_w1[lo:hi], total_w[lo:hi])
+            # every node's last column is inf, so no node's minimum is NaN
+            per_feature = np.fmin.reduceat(g, starts, axis=1)
+            v = per_feature.min(axis=0)
+            f = (per_feature == v).argmax(axis=0)
+            hit = np.flatnonzero(g[np.repeat(f, sizes), np.arange(m)] == np.repeat(v, sizes))
+            k = hit[np.searchsorted(hit, starts)] - starts
+            if f0:  # an earlier block keeps its ties
+                better = v < best[0]
+                v, f, k = (np.where(better, new, old) for new, old in zip((v, f0 + f, k), best))
+            best = v, f, k
+        chunks.append(best)
+        i = j
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
 def best_split(x, y, w, presorted=None):
@@ -93,64 +223,74 @@ def best_split(x, y, w, presorted=None):
     split exists or none strictly reduces the node impurity.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
     w = np.ones(x.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
     lists = presort(x) if presorted is None else presorted
-    rows, order = lists[0], lists[1:]
-    node_w = w[rows]
-    total_w = np.add.reduce(node_w)
-    total_w1 = float(np.add.reduce(node_w[y[rows] == 1]))
-    total_w0 = total_w - total_w1
-    parent = gini(total_w0, total_w1)
+    found = _search_node(x, np.asarray(y) == 1, w, lists)
+    if found is None:
+        return None
+    feature, k, weighted = found
+    a, b = x[lists[1 + feature, k:k + 2], feature]
+    return feature, float(midpoint(a, b)), float(weighted)
 
-    d, m = order.shape
-    if m < 2 or d == 0:
-        return None
-    features = np.arange(d)[:, None]
-    step = max(1, SEARCH_BLOCK // m)
-    best = None
-    for lo in range(0, d, step):
-        block = order[lo:lo + step]
-        # side[s, f, k] and cls[c, s, f, k]: the weight and the class-c weight
-        # on side s (left, right) of the cut after sorted position k of feature
-        # lo + f; cls becomes p_c^2, then 1 - p0^2 - p1^2 times the side's
-        # weight in cls[0]. Every step is the per-feature scan's arithmetic, in
-        # its order, so that the result is bit-identical.
-        side = np.empty((2,) + block.shape)
-        cls = np.empty((2, 2) + block.shape)
-        side[0] = w[block]
-        np.multiply(side[0], y[block] == 1, out=cls[1, 0])
-        np.add.accumulate(side[0], axis=1, out=side[0])
-        np.add.accumulate(cls[1, 0], axis=1, out=cls[1, 0])
-        np.subtract(side[0], cls[1, 0], out=cls[0, 0])
-        np.subtract(total_w0, cls[0, 0], out=cls[0, 1])
-        np.subtract(total_w1, cls[1, 0], out=cls[1, 1])
-        np.subtract(total_w, side[0], out=side[1])
-        side[1, :, -1] = 1.0  # nothing lies right of the last row: no cut there
-        np.divide(cls, side, out=cls)
-        np.square(cls, out=cls)
-        g = cls[0]
-        np.subtract(1.0, g, out=g)
-        np.subtract(g, cls[1], out=g)
-        np.multiply(side, g, out=g)
-        g = np.add(g[0], g[1], out=g[0])
-        np.divide(g, total_w, out=g)
-        xs = x[block, features[lo:lo + step]]
-        g[:, :-1][xs[:, :-1] == xs[:, 1:]] = np.inf  # no threshold between equal values
-        g[:, -1] = np.inf
-        f, k = divmod(int(g.argmin()), m)  # lowest feature, then lowest threshold
-        v = g[f, k]
-        if v != v:  # argmin stops at the first NaN; a NaN Gini is no split
-            g[np.isnan(g)] = np.inf
-            f, k = divmod(int(g.argmin()), m)
-            v = g[f, k]
-        if best is None or v < best[2]:
-            best = (lo + f, k, v)
-    feature, k, weighted = best
-    if weighted >= parent:
-        return None
-    threshold = midpoint(x[order[feature, k], feature], x[order[feature, k + 1], feature])
-    return feature, threshold, float(weighted)
+
+class _Nodes:
+    """A tree while it grows: per-node arrays, indexed in the order nodes are made.
+
+    A split's children are made together, so its right child is ``left + 1``.
+    """
+
+    def __init__(self):
+        self.feature = np.full(1, -1, dtype=np.int64)
+        self.left = np.full(1, -1, dtype=np.int64)
+        self.low = np.zeros(1)  # a split's values either side of its cut
+        self.high = np.zeros(1)
+        self.counts = np.zeros((1, 2), dtype=np.int64)
+        self.size = 1
+
+    def add(self, count: int) -> int:
+        """The id of the first of ``count`` new nodes."""
+        first, self.size = self.size, self.size + count
+        if self.size > len(self.feature):  # at least double the arrays
+            more = max(self.size, 2 * len(self.feature)) - len(self.feature)
+            self.feature, self.left = (np.concatenate([a, np.full(more, -1)]) for a in (self.feature, self.left))
+            self.low, self.high = (np.concatenate([a, np.zeros(more)]) for a in (self.low, self.high))
+            self.counts = np.concatenate([self.counts, np.zeros((more, 2), dtype=np.int64)])
+        return first
+
+    def model(self) -> TreeModel:
+        """The finished tree, numbered as a depth-first fit numbers it.
+
+        That fit visits the right subtree first and numbers both children of
+        a split when it visits the split, so the children of the r-th split
+        it visits are nodes 2r + 1 and 2r + 2.
+        """
+        size = self.size
+        left = self.left[:size].tolist()
+        visits, stack = [], [0] if size > 1 else []
+        while stack:
+            node = stack.pop()
+            visits.append(node)
+            child = left[node]
+            if left[child] >= 0:
+                stack.append(child)
+            if left[child + 1] >= 0:
+                stack.append(child + 1)
+        visits = np.array(visits, dtype=np.int64)
+        new = np.zeros(size, dtype=np.int64)
+        new[self.left[visits]] = 2 * np.arange(len(visits)) + 1
+        new[self.left[visits] + 1] = 2 * np.arange(len(visits)) + 2
+        old = np.empty_like(new)
+        old[new] = np.arange(size)
+        feature = self.feature[old]
+        inner = feature >= 0
+        left = np.where(inner, new[self.left[old]], -1)
+        return TreeModel(
+            feature=feature,
+            threshold=np.where(inner, midpoint(self.low[old], self.high[old]), 0.0),
+            left=left,
+            right=np.where(inner, left + 1, -1),
+            counts=self.counts[old],
+        )
 
 
 def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
@@ -159,49 +299,113 @@ def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
     ``sample_weight`` holds one positive, finite weight per row (1 when absent).
     """
     x = train.values
-    y = train.labels
-    y1 = y == 1
+    y1 = train.labels == 1
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot fit a tree on an empty matrix")
     w = row_weights(sample_weight, n, allow_zero=False)
 
-    feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [(0, 0)]
-    go_left = np.empty(n, dtype=bool)
-    stack = [(0, presort(x))]
+    nodes = _Nodes()
+    n1 = np.count_nonzero(y1)
+    nodes.counts[0] = (n - n1, n1)
+    if 0 < n1 < n and x.shape[1]:
+        go_left = np.zeros(n, dtype=bool)
+        pool = _grow_large(x, y1, w, nodes, presort(x), go_left)
+        if pool:
+            _grow_pool(x, y1, w, nodes, pool, go_left)
+    return nodes.model()
+
+
+def _grow_large(x, y1, w, nodes, lists, go_left):
+    """Grow the mixed root, whose row lists are ``lists``, depth first.
+
+    Each node of more than ``SMALL`` rows is searched alone. Returns the pool:
+    the (node, row lists) pairs of the mixed nodes of at most ``SMALL`` rows.
+    """
+    stack, pool = [], []
+    (stack if lists.shape[1] > SMALL else pool).append((0, lists))
     while stack:
         node, lists = stack.pop()
-        rows = lists[0]
-        n1 = np.count_nonzero(y1[rows])
-        counts[node] = (len(rows) - n1, n1)
-        if n1 == 0 or n1 == len(rows):
-            continue
-        found = best_split(x, y, w, lists)
+        found = _search_node(x, y1, w, lists)
         if found is None:
             continue
-        feature[node], threshold[node], _ = found
-        go_left[rows] = x[rows, feature[node]] <= threshold[node]
+        f, k, _ = found
+        nodes.feature[node] = f
+        nodes.low[node], nodes.high[node] = x[lists[1 + f, k:k + 2], f]
+        go_left[lists[0]] = False
+        go_left[lists[1 + f, :k + 1]] = True  # the rows that x[:, f] <= midpoint sends left
         in_left = go_left[lists]  # one stable partition of every row list
-        n_left = np.count_nonzero(in_left[0])
-        n_right = len(rows) - n_left
-        if n_left == 0 or n_right == 0:  # a child would be its parent again: stop here
-            feature[node], threshold[node] = -1, 0.0
-            continue
-        for children, kept, size in ((left, in_left, n_left), (right, ~in_left, n_right)):
-            children[node] = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            counts.append((0, 0))
-            stack.append((children[node], lists[kept].reshape(len(lists), size)))
-    return TreeModel(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64),
-    )
+        left = nodes.left[node] = nodes.add(2)
+        n1 = nodes.counts[node, 1]
+        n1_left = np.count_nonzero(y1[lists[1 + f, :k + 1]])
+        for child, kept, size, c1 in ((left, in_left, k + 1, n1_left),
+                                      (left + 1, ~in_left, lists.shape[1] - k - 1, n1 - n1_left)):
+            nodes.counts[child] = (size - c1, c1)
+            if 0 < c1 < size:
+                (stack if size > SMALL else pool).append((child, lists[kept].reshape(len(lists), size)))
+    return pool
+
+
+def _grow_pool(x, y1, w, nodes, pool, go_left):
+    """Grow the mixed nodes of ``pool`` to the end, one level of all of them at a time.
+
+    ``pool`` holds (node, row lists) pairs, the lists in the layout of
+    ``presort``; it is emptied. Each round lays every node's lists side by
+    side, searches them at once and keeps the mixed children of its splits
+    for the next round.
+    """
+    ids, parts = zip(*pool)
+    pool.clear()
+    ids, sizes = np.array(ids), np.array([part.shape[1] for part in parts])
+    lists = np.concatenate(parts, axis=1)  # node ids[i] holds the next sizes[i] columns
+    del parts
+    while ids.size:
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        n1 = nodes.counts[ids, 1]
+        rows = lists[0]
+        y1_rows = y1[rows]
+        node_w = w[rows]
+        class1_w = node_w[y1_rows]
+        bounds = [0] + ends.tolist()
+        bounds1 = [0] + np.cumsum(n1).tolist()  # of the class-1 rows in row order
+        totals = [_totals(node_w[lo:hi], class1_w[lo1:hi1])
+                  for lo, hi, lo1, hi1 in zip(bounds, bounds[1:], bounds1, bounds1[1:])]
+        parent = np.array([gini(w0, w1) for w0, w1, _ in totals])
+        weighted, feature, cut = _search_pool(
+            x, y1, w, lists, bounds, *np.repeat(np.array(totals).T, sizes, axis=1))
+
+        split = weighted < parent
+        parents, f, k = ids[split], feature[split], cut[split]
+        at = starts[split] + k
+        nodes.feature[parents] = f
+        nodes.low[parents] = x[lists[1 + f, at], f]
+        nodes.high[parents] = x[lists[1 + f, at + 1], f]
+        left = nodes.add(2 * len(parents)) + 2 * np.arange(len(parents))
+        nodes.left[parents] = left
+
+        # a split sends left the first k + 1 rows of its feature's list
+        columns = np.arange(lists.shape[1])
+        to_left = columns - np.repeat(starts, sizes) <= np.repeat(np.where(split, cut, -1), sizes)
+        go_left[rows] = False
+        go_left[lists[np.repeat(1 + feature, sizes), columns][to_left]] = True
+        in_left = go_left[lists]
+        n1_left = np.add.reduceat(in_left[0] & y1_rows, starts, dtype=np.int64)[split]
+        child_ids = np.concatenate([left, left + 1])
+        child_sizes = np.concatenate([k + 1, sizes[split] - k - 1])
+        child_n1 = np.concatenate([n1_left, n1[split] - n1_left])
+        nodes.counts[child_ids, 0] = child_sizes - child_n1
+        nodes.counts[child_ids, 1] = child_n1
+        mixed = (child_n1 > 0) & (child_n1 < child_sizes)
+        # the mixed children's row lists, left children first: a stable partition
+        parts = []
+        for kept, child_mixed in ((in_left, mixed[:len(left)]), (~in_left, mixed[len(left):])):
+            segment_kept = np.zeros(len(split), dtype=bool)
+            segment_kept[split] = child_mixed
+            kept &= np.repeat(segment_kept, sizes)
+            parts.append(lists[kept].reshape(len(lists), -1))
+        lists = np.concatenate(parts, axis=1)
+        ids, sizes = child_ids[mixed], child_sizes[mixed]
 
 
 def dt_score(model: TreeModel, m) -> np.ndarray:

@@ -114,7 +114,7 @@ class FeatureMatrix:
             raise ValueError("labels length must equal row count")
         if not np.isfinite(self.values).all():
             raise ValueError("values contain non-finite entries")
-        if not np.isin(self.labels, (0, 1)).all():
+        if (self.labels & ~1).any():  # a bit other than the lowest: not 0 or 1
             raise ValueError("labels must contain only 0 and 1")
         if self.attack_types is not None:
             self.attack_types = np.asarray(self.attack_types, dtype=object)

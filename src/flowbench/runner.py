@@ -370,13 +370,20 @@ def _cell_payload(fe, dims, model, config: ExperimentConfig, cell,
 
 
 def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
-    """The completed cells of the manifest at ``path`` if it was written for ``config``."""
+    """The completed cells of the manifest at ``path`` if it was written for ``config``.
+
+    A manifest of another config is discarded with the ``roc/`` and
+    ``sweeps/`` CSVs of its run, which the fresh run might not rewrite.
+    """
     if not path.exists():
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("config_digest") != config.digest():
         log.warning("manifest does not match this config; starting fresh")
+        for stale in ("roc", "sweeps"):
+            for csv_path in (path.parent / stale).glob("*.csv"):
+                csv_path.unlink()
         return {}
     log.info("resuming: %d cell(s) already complete", len(doc["completed"]))
     return doc["completed"]

@@ -249,6 +249,8 @@ class TestDecisionTree:
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+# 1 searches every node alone, 10**9 pools every node, 8 and 64 mix the two
+GROWTH_SMALL = [1, 8, 64, 10**9]
 
 
 @st.composite
@@ -270,7 +272,8 @@ def tree_inputs(draw):
         w = np.where(y == 1, rng.uniform(0.5, 20.0), rng.uniform(0.5, 2.0))
     else:
         w = rng.uniform(0.01, 10.0, n)
-    return matrix(x, y), w, draw(st.sampled_from([1, 7, tree.SEARCH_BLOCK]))
+    return (matrix(x, y), w, draw(st.sampled_from([1, 7, tree.SEARCH_BLOCK])),
+            draw(st.sampled_from(GROWTH_SMALL)))
 
 
 def assert_same_tree(got: TreeModel, want: TreeModel):
@@ -285,23 +288,44 @@ class TestPresortedTree:
     @settings(max_examples=300, deadline=None)
     @given(tree_inputs())
     def test_matches_reference(self, case):
-        fm, w, block = case
-        saved = tree.SEARCH_BLOCK
-        tree.SEARCH_BLOCK = block  # 1 and 7 split the search into many blocks
+        fm, w, block, small = case
+        saved = tree.SEARCH_BLOCK, tree.SMALL
+        tree.SEARCH_BLOCK, tree.SMALL = block, small  # 1 and 7 split the search into many blocks
         try:
             got = dt_fit(fm, w)
         finally:
-            tree.SEARCH_BLOCK = saved
+            tree.SEARCH_BLOCK, tree.SMALL = saved
         assert_same_tree(got, reference_dt_fit(fm, w))
 
+    @staticmethod
+    def assert_every_growth_matches(monkeypatch, fm, w):
+        want = reference_dt_fit(fm, w)
+        for small in (1, 64, 10**9):
+            for block in (1, 7, tree.SEARCH_BLOCK):
+                monkeypatch.setattr(tree, "SMALL", small)
+                monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
+                assert_same_tree(dt_fit(fm, w), want)
+        return want
+
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_reference_on_overlapping_blobs(self, weighted):
+    def test_matches_reference_on_overlapping_blobs(self, monkeypatch, weighted):
         fm = blobs(n0=700, n1=120, d=6, separation=1.0, seed=11)
         fm = matrix(np.round(fm.values, 2), fm.labels)
         w = ClassWeights(w0=0.59, w1=3.42).per_sample(fm.labels) if weighted else None
-        got = dt_fit(fm, w)
-        assert len(got.feature) > 50
-        assert_same_tree(got, reference_dt_fit(fm, w))
+        want = self.assert_every_growth_matches(monkeypatch, fm, w)
+        assert len(want.feature) > 50
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_reference_on_a_deep_noise_chain(self, monkeypatch, d, weighted):
+        # labels independent of one or two coarse features: the tree is a long
+        # chain of large nodes with many small nodes hanging off it
+        rng = np.random.default_rng(23 + d)
+        x = np.round(rng.normal(size=(1500, d)), 2)
+        y = (rng.random(1500) < 0.3).astype(int)
+        w = rng.uniform(0.2, 5.0, 1500) if weighted else None
+        want = self.assert_every_growth_matches(monkeypatch, matrix(x, y), w)
+        assert want.depth() > 20 and (want.counts.sum(axis=1) <= tree.SMALL).sum() > 200
 
     @pytest.mark.parametrize("block", [1, tree.SEARCH_BLOCK])
     def test_matches_reference_where_weights_swamp_the_sums(self, monkeypatch, block):
@@ -325,21 +349,29 @@ class TestPresortedTree:
                 assert_same_tree(dt_fit(matrix(x, y), w), reference_dt_fit(matrix(x, y), w))
         assert nan_nodes > 0
 
-    def test_best_split_called_once_per_mixed_node(self, monkeypatch):
-        calls = []
-        original = tree.best_split
+    def test_each_mixed_node_searched_once(self, monkeypatch):
+        alone, pooled = [], []
+        search_node, search_pool = tree._search_node, tree._search_pool
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def count_node(*args):
+            alone.append(args[3].shape[1])
+            return search_node(*args)
 
-        monkeypatch.setattr(tree, "best_split", counting)
+        def count_pool(x, y1, w, lists, bounds, *totals):
+            pooled.extend(np.diff(bounds).tolist())
+            return search_pool(x, y1, w, lists, bounds, *totals)
+
+        monkeypatch.setattr(tree, "_search_node", count_node)
+        monkeypatch.setattr(tree, "_search_pool", count_pool)
         fm = blobs(n0=150, n1=150, d=3, separation=1.0, seed=9)
         fm = matrix(np.round(fm.values), fm.labels)  # repeated points with both labels
         model = dt_fit(fm)
         mixed = (model.counts > 0).all(axis=1)
-        assert len(calls) == int(mixed.sum())
-        # mixed leaves, where best_split found no split, count too
+        assert len(alone) + len(pooled) == int(mixed.sum())
+        assert min(alone) > tree.SMALL >= max(pooled)
+        sizes = model.counts[mixed].sum(axis=1)
+        assert sorted(alone + pooled) == sorted(sizes.tolist())
+        # mixed leaves, where no cut reduced the impurity, count too
         assert (mixed & (model.feature < 0)).any()
 
     def test_public_best_split_sorts_itself(self):
@@ -379,12 +411,16 @@ class TestTreeProgress:
         x = np.column_stack([x[:, 0], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
         model = dt_fit(matrix(x, fm.labels))
         assert model.feature.tolist() == [1, -1, -1] and model.threshold[0] == 0.5
+        no_features = matrix(np.zeros((6, 0)), fm.labels)
+        assert_same_tree(dt_fit(no_features), reference_dt_fit(no_features))
 
-    def test_split_leaving_a_child_empty_makes_a_leaf(self, monkeypatch):
-        # the fit's backstop, should a threshold ever send every row one way
-        monkeypatch.setattr(tree, "best_split", lambda *args: (0, np.inf, 0.0))
-        model = dt_fit(matrix([[0.0], [1.0]], [0, 1]))
-        assert model.feature.tolist() == [-1] and model.counts.tolist() == [[1, 1]]
+    @pytest.mark.parametrize("n", [4, 100])  # a pooled root, a root searched alone
+    def test_fit_ends_when_the_total_weight_overflows(self, n):
+        # the root's impurity is NaN, which no cut reduces
+        fm = matrix(np.arange(n, dtype=float), np.arange(n) % 2)
+        with np.errstate(all="ignore"):
+            model = dt_fit(fm, np.full(n, 1e308))
+        assert model.feature.tolist() == [-1] and model.counts.tolist() == [[n // 2, n // 2]]
 
 
 @pytest.mark.parametrize("fit", [dt_fit, lr_fit], ids=["dt", "lr"])

@@ -525,6 +525,15 @@ class TestFeatureMatrix:
             FeatureMatrix(values=np.array([[1.0]]), feature_names=["a"],
                           labels=np.array([2]))
 
+    @pytest.mark.parametrize("bad", [-1, 2, 3, -2, 2**62])
+    def test_label_check_is_exact(self, bad):
+        values = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+            FeatureMatrix(values=values, feature_names=["a"], labels=np.array([0, 1, bad, 1]))
+        for labels in ([0, 1, 1, 0], [1, 1, 1, 1]):
+            FeatureMatrix(values=values, feature_names=["a"], labels=np.array(labels))
+        FeatureMatrix(values=np.zeros((0, 1)), feature_names=["a"], labels=np.array([], dtype=int))
+
     def test_immutable_after_construction(self):
         fm = FeatureMatrix(values=np.array([[1.0]]), feature_names=["a"],
                            labels=np.array([1]))

@@ -301,6 +301,22 @@ class TestRun:
         b = (tmp_path / "resumed" / "results.csv").read_bytes()
         assert a == b
 
+    def test_fresh_start_drops_the_other_configs_curves(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        run(small_config(dataset, out, fe_methods=("full",)))
+        dt_files = {"roc/full_10_dt.csv", "sweeps/synthetic_dt.csv"}
+        (out / "notes.csv").write_text("kept\n", encoding="utf-8")
+
+        def csv_files():
+            return {p.relative_to(out).as_posix() for p in out.rglob("*.csv")}
+
+        assert dt_files <= csv_files()
+        run(small_config(dataset, out, fe_methods=("full",), models=("nb",)))
+        assert not [p for p in csv_files() if p.endswith("_dt.csv")]
+        assert {"roc/full_10_nb.csv", "sweeps/synthetic_nb.csv", "notes.csv",
+                "variance/synthetic_pca.csv"} <= csv_files()
+        assert {row[1] for row in read_csv(out / "results.csv")[1:]} == {"nb"}
+
     def test_mean_rows_have_pooled_auc(self, dataset, tmp_path):
         records = run(small_config(dataset, tmp_path / "out"))
         for r in records:
