@@ -29,7 +29,9 @@ print("cnn below 10 features collapses to:",
       " -> ".join(s.kind for s in cnn_layers(5)))
 
 print("\n=== gradient check: analytic vs central finite differences ===")
-net = build_network(dff_layers(6), 6, rng=np.random.default_rng(1))
+# networks train in float32; the check runs the same layers in float64,
+# where a 1e-6 finite-difference step is far above the rounding error
+net = build_network(dff_layers(6), 6, rng=np.random.default_rng(1), dtype=np.float64)
 x = rng.random((8, 6))
 y = rng.integers(0, 2, 8).astype(float)[:, None]
 
@@ -76,4 +78,5 @@ with tempfile.TemporaryDirectory(prefix="flowbench_demo_") as work:
     save_model(net, path)
     clone = load_model(path)
 same = all(a.tobytes() == b.tobytes() for a, b in zip(net.params(), clone.params()))
-print(f"saved to {path.name}; parameters bit-identical after reload: {same}")
+print(f"saved to {path.name}; parameters bit-identical after reload: {same} "
+      f"({clone.dtype})")

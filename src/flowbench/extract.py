@@ -207,15 +207,16 @@ def ae_fit(train, k: int, cfg: TrainConfig) -> AeModel:
 
 
 def ae_encode(m, model: AeModel):
-    z = model_input(m, model.network.input_dim)
+    """The bottleneck codes of m, computed in the network's dtype, as float64."""
+    z = model_input(m, model.network.input_dim).astype(model.network.dtype, copy=False)
     for layer in model.network.layers[: model.n_encoder_layers]:
         z = layer.forward(z, train=False)
-    return _as_output(m, z, "ae")
+    return _as_output(m, z.astype(np.float64, copy=False), "ae")
 
 
 def ae_reconstruct(m, model: AeModel) -> np.ndarray:
     x = _values(m)
-    return model.network.forward(x, train=False)
+    return model.network.forward(x, train=False).astype(np.float64, copy=False)
 
 
 @dataclass

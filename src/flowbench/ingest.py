@@ -105,7 +105,11 @@ class FeatureMatrix:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # a float label is checked before the cast, which would truncate 0.5 to 0
+        if labels.dtype.kind == "f" and not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("labels must contain only 0 and 1")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D matrix")
         if len(self.feature_names) != self.values.shape[1]:

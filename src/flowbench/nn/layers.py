@@ -77,9 +77,9 @@ def _activation_grad(name, out):
     return np.ones_like(out)
 
 
-def _new_array(name, shape):
+def _new_array(name, shape, dtype):
     """Inference's stand-in for ``Layer._work_array``: a fresh array each call."""
-    return np.empty(shape)
+    return np.empty(shape, dtype)
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -105,8 +105,10 @@ class Layer:
     result, into work arrays it keeps from step to step (``_work_array``),
     so such a result is valid until that layer's next train-mode call.
     Inference allocates: nothing an inference ``forward`` returns is a
-    work array. ``release`` drops the work arrays and the batch state named
-    in ``CACHE``, which may be views of another layer's work arrays.
+    work array. Every array a layer allocates takes the dtype of the batch
+    it is given, so a float32 network computes in float32 throughout.
+    ``release`` drops the work arrays and the batch state named in
+    ``CACHE``, which may be views of another layer's work arrays.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
@@ -119,17 +121,18 @@ class Layer:
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
-    def _work_array(self, name, shape):
+    def _work_array(self, name, shape, dtype):
         """The leading ``shape[0]`` rows of the work array ``name``.
 
-        The first (largest) batch of a fit sizes it; more rows or another
-        trailing shape allocate it again.
+        The first (largest) batch of a fit sizes it; more rows, another
+        trailing shape or another dtype allocate it again.
         """
         if self._work is None:
             self._work = {}
         kept = self._work.get(name)
-        if kept is None or kept.shape[0] < shape[0] or kept.shape[1:] != shape[1:]:
-            kept = self._work[name] = np.empty(shape)
+        if (kept is None or kept.shape[0] < shape[0] or kept.shape[1:] != shape[1:]
+                or kept.dtype != dtype):
+            kept = self._work[name] = np.empty(shape, dtype)
         return kept[:shape[0]]
 
     def release(self):
@@ -207,10 +210,11 @@ class Conv1D(Layer):
         self._in_shape = x.shape
         cols = np.concatenate(
             [x[:, j:j + out_len, :] for j in range(k)], axis=2,
-            out=array("cols", (n, out_len, k * c)),
+            out=array("cols", (n, out_len, k * c), x.dtype),
         )
         self._cols = cols.reshape(n * out_len, k * c)
-        z = np.matmul(self._cols, self.w.reshape(k * c, f), out=array("z", (n * out_len, f)))
+        z = np.matmul(self._cols, self.w.reshape(k * c, f),
+                      out=array("z", (n * out_len, f), x.dtype))
         z += self.b
         z = z.reshape(n, out_len, f)
         if self.activation == "relu":
@@ -222,7 +226,7 @@ class Conv1D(Layer):
     def backward(self, grad, input_grad=True):
         out = self._out
         act_grad = out > 0 if self.activation == "relu" else _activation_grad(self.activation, out)
-        dz = np.multiply(grad, act_grad, out=self._work_array("dz", grad.shape))
+        dz = np.multiply(grad, act_grad, out=self._work_array("dz", grad.shape, grad.dtype))
         n, out_len, f = dz.shape
         dz2 = dz.reshape(n * out_len, f)
         self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
@@ -231,9 +235,10 @@ class Conv1D(Layer):
             return None
         k, c = self.kernel_size, self._in_shape[2]
         dcols = np.matmul(
-            dz2, self.w.reshape(-1, f).T, out=self._work_array("dcols", (n * out_len, k * c))
+            dz2, self.w.reshape(-1, f).T,
+            out=self._work_array("dcols", (n * out_len, k * c), dz.dtype),
         ).reshape(n, out_len, k, c)
-        dx = self._work_array("dx", self._in_shape)
+        dx = self._work_array("dx", self._in_shape, dz.dtype)
         dx[...] = 0.0
         for j in range(k):
             dx[:, j:j + out_len, :] += dcols[:, :, j, :]
@@ -262,7 +267,7 @@ class AvgPool1D(Layer):
         covered = out_len * p
         array = self._work_array if train else _new_array
         # mean's sum starts at 0.0: -0.0 becomes 0.0
-        total = np.add(x[:, 0:covered:p, :], 0.0, out=array("out", (n, out_len, c)))
+        total = np.add(x[:, 0:covered:p, :], 0.0, out=array("out", (n, out_len, c), x.dtype))
         for j in range(1, p):
             total += x[:, j:covered:p, :]
         total /= p
@@ -272,7 +277,7 @@ class AvgPool1D(Layer):
         n, out_len, c = grad.shape
         p = self.pool_size
         covered = out_len * p
-        dx = self._work_array("dx", self._in_shape)
+        dx = self._work_array("dx", self._in_shape, grad.dtype)
         dx[:, covered:, :] = 0.0  # a remainder of the input gets no gradient
         dx[:, :covered, :].reshape(n, out_len, p, c)[...] = (grad / p)[:, :, None, :]
         return dx
@@ -308,8 +313,8 @@ class LSTM(Layer):
     def forward(self, x, train=False, rng=None):
         n, t, _ = x.shape
         u = self.units
-        h = np.zeros((n, u))
-        c = np.zeros((n, u))
+        h = np.zeros((n, u), x.dtype)
+        c = np.zeros((n, u), x.dtype)
         self._in_shape = x.shape
         self._steps = []
         for step in range(t):
@@ -330,7 +335,7 @@ class LSTM(Layer):
 
     def backward(self, grad, input_grad=True):
         u = self.units
-        dx = np.zeros(self._in_shape) if input_grad else None
+        dx = np.zeros(self._in_shape, grad.dtype) if input_grad else None
         self.dwx[...] = 0.0
         self.dwh[...] = 0.0
         self.db[...] = 0.0
@@ -376,7 +381,7 @@ class Dropout(Layer):
         if rng is None:
             raise ValueError("train-mode dropout needs an RNG")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep) / keep
+        self._mask = np.divide(rng.random(x.shape) < keep, keep, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, grad):

@@ -45,20 +45,22 @@ class TrainHistory:
 class Network:
     """An ordered layer stack mapping a 2-D batch to a 2-D output.
 
-    Every parameter lives in the one float64 array ``flat`` and every
-    gradient in ``flat_grad``; the layers' tensors are views into them, in
-    ``params()`` order, so one optimizer update covers the whole network.
+    Every parameter lives in the one array ``flat`` and every gradient in
+    ``flat_grad``; the layers' tensors are views into them, in ``params()``
+    order, so one optimizer update covers the whole network. The dtype of
+    ``flat`` is the network's precision: ``forward`` and ``backward`` cast
+    what they are given to it, and the layers compute in it.
     """
 
-    def __init__(self, layers, specs, input_dim, output_dim):
+    def __init__(self, layers, specs, input_dim, output_dim, dtype=np.float32):
         self.layers = list(layers)
         self.specs = list(specs)
         self.input_dim = input_dim
         self.output_dim = output_dim
         slots = [(layer, p, g) for layer in self.layers for p, g in layer.PARAMS]
         total = sum(getattr(layer, p).size for layer, p, _ in slots)
-        self.flat = np.empty(total)
-        self.flat_grad = np.zeros(total)
+        self.flat = np.empty(total, dtype)
+        self.flat_grad = np.zeros(total, dtype)
         # the lowest layer with parameters: training needs no gradient below it
         self._first_param = next(
             (i for i, layer in enumerate(self.layers) if layer.PARAMS), len(self.layers)
@@ -67,13 +69,17 @@ class Network:
         for layer, p, g in slots:
             tensor = getattr(layer, p)
             end = offset + tensor.size
-            self.flat[offset:end] = tensor.ravel()
+            self.flat[offset:end] = tensor.ravel()  # rounded to the network's dtype
             setattr(layer, p, self.flat[offset:end].reshape(tensor.shape))
             setattr(layer, g, self.flat_grad[offset:end].reshape(tensor.shape))
             offset = end
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
+
     def forward(self, x, train=False, rng=None):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected batch of shape (n, {self.input_dim}), got {x.shape}"
@@ -87,7 +93,9 @@ class Network:
 
         The pass ends at the lowest layer with parameters, called with
         ``input_grad=False``: nothing reads the gradient of the input batch.
+        A float64 loss gradient is rounded to the network's dtype first.
         """
+        grad = np.asarray(grad, dtype=self.dtype)
         for layer in reversed(self.layers[self._first_param + 1:]):
             grad = layer.backward(grad)
         if self._first_param < len(self.layers):
@@ -106,17 +114,22 @@ class Network:
         return out
 
     def predict_proba(self, x):
-        out = self.forward(x, train=False)
+        """The outputs of inference on x, as float64."""
+        out = self.forward(x, train=False).astype(np.float64, copy=False)
         return out[:, 0] if out.shape[1] == 1 else out
 
 
-def build_network(specs, input_dim, rng=None) -> Network:
+def build_network(specs, input_dim, rng=None, dtype=np.float32) -> Network:
     """Instantiate layers from specs, inserting a Reshape where the row layout changes.
 
     A row is (features,) or (timesteps, channels). A conv1d reached from a
     flat row sees the features as a length-d 1-channel sequence; an lstm
     sees them as a single timestep of d features. A flatten of a flat row
     is the identity and adds no layer.
+
+    The network trains and predicts in ``dtype``. Its initial weights are
+    drawn in float64 and rounded to it, so a float64 network starts from
+    the same draw as a float32 one.
     """
     rng = rng or np.random.default_rng(0)
     layers: list[Layer] = []
@@ -154,7 +167,7 @@ def build_network(specs, input_dim, rng=None) -> Network:
             layers.append(Dropout(spec.rate))
     if len(shape) != 1:
         raise ValueError("network must end in a flat output; add a flatten/dense")
-    return Network(layers, specs, input_dim, shape[0])
+    return Network(layers, specs, input_dim, shape[0], dtype)
 
 
 def parameter_count(net: Network) -> int:
@@ -174,10 +187,11 @@ def fit_network(
     Batches are shuffled and dropout masks drawn from cfg.seed's streams.
     ``targets`` and ``sample_weight`` (one finite, non-negative loss
     weight) have one row per row of x, checked once before the first step.
-    The layers keep their work arrays from step to step and drop them when
-    the fit returns or raises.
+    x is cast to the network's dtype once; the loss and its gradient are
+    computed in float64. The layers keep their work arrays from step to
+    step and drop them when the fit returns or raises.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.dtype)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[:, None]

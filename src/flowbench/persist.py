@@ -3,8 +3,9 @@
 Each ndarray field is an entry named by its field path (``model.weights``,
 ``network.0``); everything else goes in one JSON ``meta`` entry with the
 format version and the type name. A network is stored as its layer specs,
-its input width and its parameters. Loads reproduce the saved model
-bit-exactly; an autoencoder's training history is not saved.
+its input width and its parameters, in the network's dtype. Loads
+reproduce the saved model bit-exactly, in the dtype it was saved in; an
+autoencoder's training history is not saved.
 """
 
 from __future__ import annotations
@@ -58,11 +59,19 @@ def _decode(doc: dict, prefix: str, arrays: dict):
     if cls is None:
         raise ValueError(f"unknown checkpoint type {doc.get('type')!r}")
     if cls is Network:
-        net = build_network([LayerSpec(**d) for d in doc["specs"]], doc["input_dim"])
-        params = net.params()
         saved = []
         while f"{prefix}{len(saved)}" in arrays:
             saved.append(arrays[f"{prefix}{len(saved)}"])
+        dtypes = {a.dtype for a in saved}
+        if len(dtypes) > 1:
+            raise ValueError(f"checkpoint tensors mix dtypes {sorted(map(str, dtypes))}")
+        if not dtypes <= {np.dtype(np.float32), np.dtype(np.float64)}:
+            raise ValueError(f"checkpoint tensors must be float32 or float64, got {dtypes.pop()}")
+        # the network takes its saved tensors' dtype, so a load never rounds them
+        dtype = dtypes.pop() if dtypes else np.float32
+        net = build_network([LayerSpec(**d) for d in doc["specs"]], doc["input_dim"],
+                            dtype=dtype)
+        params = net.params()
         if len(params) != len(saved):
             raise ValueError("checkpoint parameter count does not match the spec")
         for p, a in zip(params, saved):

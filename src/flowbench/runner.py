@@ -6,11 +6,13 @@ every (fe, dims) group shares those fold fits, a PCA group taking the
 top-dims prefix of the one SVD. A group then fits its LDA or AE on the
 same training portion, transforms both portions, trains each classifier,
 evaluates the held-out fold and returns its finished cells: their
-manifest entries and pooled ROC curves. Only the descriptive variance/
-reports are fitted on all rows, and they feed no cell. After every
-group the run writes the group's ROC files and flushes manifest.json, so
-an interrupted sweep resumes from its manifest and reproduces the
-uninterrupted byte-identical results.csv. The tables (results.csv,
+manifest entries and pooled ROC curves. A pca or ae group whose dims
+are not below the PCA width of the smallest training fold is not run;
+the manifest and summary.txt list it with the reason. Only the
+descriptive variance/ reports are fitted on all rows, and they feed no
+cell. After every group the run writes the group's ROC files and flushes
+manifest.json, so an interrupted sweep resumes from its manifest and
+reproduces the uninterrupted byte-identical results.csv. The tables (results.csv,
 sweeps/, best_per_model.csv, summary.txt) are rendered once from the
 completed cells, by ``write_outputs``: at the end of ``run``, or by
 ``flowbench report``.
@@ -209,9 +211,17 @@ def load_dataset(config: ExperimentConfig) -> FeatureMatrix:
     return fm
 
 
-def _group_plan(config: ExperimentConfig, n_features: int):
-    """(fe, dims) groups in config order; full uses all features, lda one."""
-    groups = []
+def _group_plan(config: ExperimentConfig, n_features: int, n_train: int):
+    """(fe, dims) groups in config order, and the dropped groups with their reasons.
+
+    full uses all features and lda one. A pca or ae group needs dims below
+    the PCA width min(n_train - 1, n_features) of the smallest training
+    fold: PCA cannot fit more components, at the width itself it is a
+    rotation of the full features, and an autoencoder that wide reduces
+    nothing.
+    """
+    width = min(n_train - 1, n_features)
+    groups, dropped = [], []
     for fe in config.fe_methods:
         if fe == "full":
             groups.append((fe, n_features))
@@ -219,8 +229,13 @@ def _group_plan(config: ExperimentConfig, n_features: int):
             groups.append((fe, 1))
         else:
             for dims in sorted(set(config.dimensions)):
-                groups.append((fe, dims))
-    return groups
+                if dims < width:
+                    groups.append((fe, dims))
+                else:
+                    dropped.append({"fe": fe, "dims": dims, "reason": (
+                        f"dims {dims} is not below the PCA width {width} = min("
+                        f"{n_train} training rows - 1, {n_features} features)")})
+    return groups, dropped
 
 
 @dataclass
@@ -389,12 +404,14 @@ def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
     return doc["completed"]
 
 
-def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict) -> None:
+def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict,
+                    dropped: list[dict]) -> None:
     doc = {
         "version": CONFIG_VERSION,
         "config_digest": config.digest(),
         "config": config.to_dict(),
         "completed": completed,
+        "dropped": dropped,
     }
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -402,8 +419,8 @@ def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict) -> No
     tmp.replace(path)
 
 
-def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
-    """The config and the completed cells recorded in a run directory."""
+def read_manifest(run_dir) -> tuple[ExperimentConfig, dict, list[dict]]:
+    """The config, the completed cells and the dropped groups recorded in a run directory."""
     path = Path(run_dir) / "manifest.json"
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -413,7 +430,7 @@ def read_manifest(run_dir) -> tuple[ExperimentConfig, dict]:
         if raw.pop("fit_global"):
             raise ValueError(f"{path}: run with fit_global, whose scaler and extractors "
                              "saw the test rows; rerun it")
-    return ExperimentConfig.from_dict(raw, path), doc["completed"]
+    return ExperimentConfig.from_dict(raw, path), doc["completed"], doc.get("dropped", [])
 
 
 def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> None:
@@ -444,6 +461,10 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     fm = load_dataset(config)
     _write_variance_reports(fm, out_dir, config.schema_name)
     plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
+    n_train = fm.n_samples - int(np.bincount(plan.assignments, minlength=plan.k).max())
+    groups, dropped = _group_plan(config, fm.n_features, n_train)
+    for group in dropped:
+        log.warning("dropped %s:%s: %s", group["fe"], group["dims"], group["reason"])
     manifest = out_dir / "manifest.json"
     completed = _load_completed(manifest, config)
 
@@ -452,10 +473,10 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
             completed[f"{fe}:{dims}:{model}"] = payload
-        _flush_manifest(manifest, config, completed)
+        _flush_manifest(manifest, config, completed, dropped)
 
     todo = []
-    for fe, dims in _group_plan(config, fm.n_features):
+    for fe, dims in groups:
         pending = [m for m in config.models if f"{fe}:{dims}:{m}" not in completed]
         if pending:
             todo.append((fe, dims, pending))
@@ -475,7 +496,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             log.info("group fe=%s dims=%s: %d model(s)", fe, dims, len(pending))
             finish_group(fe, dims, run_group(fe, dims, config, fm, fold_fits, pending))
 
-    return write_outputs(out_dir, config, completed)
+    return write_outputs(out_dir, config, completed, dropped)
 
 
 def mean_records(records: list[dict]) -> list[dict]:
@@ -518,12 +539,14 @@ def best_per_attack(records: list[dict], completed: dict) -> dict | None:
     }
 
 
-def write_outputs(out_dir, config: ExperimentConfig, completed: dict) -> list[dict]:
+def write_outputs(out_dir, config: ExperimentConfig, completed: dict,
+                  dropped: list[dict]) -> list[dict]:
     """Render a run directory's tables from its completed cells.
 
     Writes results.csv, the plot-ready AUC-vs-dimensions ``sweeps/``,
-    best_per_model.csv and summary.txt; returns the result records in
-    group-plan order: fe and model as configured, dims ascending.
+    best_per_model.csv and summary.txt, which also lists the ``dropped``
+    groups; returns the result records in group-plan order: fe and model
+    as configured, dims ascending.
     """
     def rank(cell_id):
         fe, dims, model = cell_id.split(":")
@@ -545,7 +568,7 @@ def write_outputs(out_dir, config: ExperimentConfig, completed: dict) -> list[di
                   ([r[col] for col in SWEEP_COLUMNS] for r in rows))
     write_csv(out_dir / "best_per_model.csv", BEST_COLUMNS,
               ([r[col] for col in BEST_COLUMNS] for r in best_per_model(records)))
-    summary = render_summary(records, best_per_attack(records, completed))
+    summary = render_summary(records, best_per_attack(records, completed), dropped)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     return records
 
@@ -554,7 +577,8 @@ def _pct(x) -> str:
     return f"{100.0 * x:.2f}%" if x is not None else ""
 
 
-def render_summary(records: list[dict], per_attack: dict | None) -> str:
+def render_summary(records: list[dict], per_attack: dict | None,
+                   dropped: list[dict]) -> str:
     """Text tables mirroring the benchmark's reporting format."""
     lines = []
     best = best_per_model(records)
@@ -574,6 +598,11 @@ def render_summary(records: list[dict], per_attack: dict | None) -> str:
         lines.append("Failed cells")
         for r in failures:
             lines.append(f"  {r['fe']}:{r['dims']}:{r['model']} -> {r['error']}")
+    if dropped:
+        lines.append("")
+        lines.append("Dropped groups (not run)")
+        for d in dropped:
+            lines.append(f"  {d['fe']}:{d['dims']} -> {d['reason']}")
     if per_attack:
         cell = per_attack["cell"]
         lines.append("")

@@ -197,7 +197,7 @@ def reference_fit(specs, x, targets, cfg, sample_weight=None):
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[:, None]
-    net = build_network(specs, x.shape[1], rng=r_init)
+    net = build_network(specs, x.shape[1], rng=r_init, dtype=np.float64)
     for layer in net.layers:  # same parameters, reference kernels
         layer.__class__ = REFERENCE_KERNELS.get(type(layer), type(layer))
     adam = Adam([net.flat], learning_rate=cfg.learning_rate)

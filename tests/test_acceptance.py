@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             net = build_network(specs, input_dim,
-                                rng=np.random.default_rng(10_000 + seed))
+                                rng=np.random.default_rng(10_000 + seed), dtype=np.float64)
             x = rng.random((5, input_dim))
             targets = rng.integers(0, 2, 5).astype(float)[:, None]
             weights = rng.uniform(0.5, 2.0, 5)

@@ -120,6 +120,42 @@ def test_report_on_interrupted_run(synth_csv, tmp_path, monkeypatch):
     assert f"{len(done)} result record(s)" in summary
 
 
+def test_default_dimensions_on_a_14_feature_file_give_only_ok_cells(tmp_path, capsys):
+    """pca and ae dims of 14 or more cannot reduce 14 features: dropped, not failed."""
+    flows = tmp_path / "flows.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"rows": 600}))
+    assert main(["synth", "--spec", str(spec), "--out", str(flows), "--seed", "1"]) == 0
+    out_dir = tmp_path / "out"
+    config = {
+        "version": CONFIG_VERSION,
+        "dataset_path": str(flows),
+        "fe_methods": ["pca", "ae"],
+        "models": ["nb"],
+        "folds": 3,
+        "train": {"epochs": 2},
+        "output_dir": str(out_dir),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert "0 failed" in capsys.readouterr().out
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    kept = (1, 2, 3, 4, 5, 10)
+    assert sorted({(r["fe"], int(r["dims"])) for r in rows}) == sorted(
+        (fe, d) for fe in ("ae", "pca") for d in kept)
+    assert len(rows) == 2 * len(kept) * (3 + 1)
+    assert all(r["status"] == "ok" for r in rows)
+    _, _, dropped = read_manifest(out_dir)
+    assert [(d["fe"], d["dims"]) for d in dropped] == [
+        ("pca", 20), ("pca", 30), ("ae", 20), ("ae", 30)]
+    summary = (out_dir / "summary.txt").read_text()
+    for d in dropped:
+        assert f"  {d['fe']}:{d['dims']} -> dims {d['dims']} is not below the PCA width 14 " in (
+            summary)
+
+
 def test_run_flag_overrides(synth_csv, tmp_path):
     out_a = tmp_path / "a"
     config = {

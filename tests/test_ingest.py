@@ -534,6 +534,19 @@ class TestFeatureMatrix:
             FeatureMatrix(values=values, feature_names=["a"], labels=np.array(labels))
         FeatureMatrix(values=np.zeros((0, 1)), feature_names=["a"], labels=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("bad", [[0.5, 1.7, 0.2], [0.0, 1.0, 0.999], [0.0, 1.0, np.nan],
+                                     [0.0, 1.0, 2.0]])
+    def test_float_labels_rejected_not_truncated(self, bad):
+        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+            FeatureMatrix(np.zeros((3, 1)), ["a"], np.array(bad))
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0]), np.array([False, True, True]),
+                                        np.array([0, 1, 1], dtype=np.uint8), [0, 1, 1]])
+    def test_exact_binary_labels_accepted(self, labels):
+        fm = FeatureMatrix(np.zeros((3, 1)), ["a"], labels)
+        assert fm.labels.dtype == np.int64
+        assert fm.labels.tolist() == [0, 1, 1]
+
     def test_immutable_after_construction(self):
         fm = FeatureMatrix(values=np.array([[1.0]]), feature_names=["a"],
                            labels=np.array([1]))

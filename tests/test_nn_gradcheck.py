@@ -60,7 +60,8 @@ def max_relative_error(analytic, numeric):
 
 def check(specs, input_dim, seed, dropout_seed=None, n=5):
     rng = np.random.default_rng(seed)
-    net = build_network(specs, input_dim, rng=np.random.default_rng(seed + 1000))
+    net = build_network(specs, input_dim, rng=np.random.default_rng(seed + 1000),
+                        dtype=np.float64)
     x = rng.random((n, input_dim))
     if net.output_dim == 1:
         targets = rng.integers(0, 2, n).astype(float)[:, None]

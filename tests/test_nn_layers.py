@@ -35,7 +35,7 @@ class TestForward:
 
     def test_hand_computed_single_layer(self):
         net = build_network(
-            [LayerSpec("dense", units=1, activation="sigmoid")], input_dim=2
+            [LayerSpec("dense", units=1, activation="sigmoid")], input_dim=2, dtype=np.float64
         )
         w, b = net.params()
         w[...] = np.array([[0.3], [-0.7]])

@@ -270,7 +270,7 @@ class TestMatchesReference:
         targets = x if name == "ae" else data.labels.astype(np.float64)
         weights = np.where(data.labels == 1, 1.5, 0.625) if weighted else None
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
-        net = build_network(specs, width, rng=seed_streams(cfg.seed)[0])
+        net = build_network(specs, width, rng=seed_streams(cfg.seed)[0], dtype=np.float64)
         history = fit_network(net, x, targets, cfg, weights)
         want, losses = reference_fit(specs, x, targets, cfg, weights)
         assert net.flat.tobytes() == want.flat.tobytes()
@@ -290,7 +290,8 @@ class TestTrainingBackward:
     def test_parameter_gradients_bit_identical_to_full_backward(self, name):
         specs, width = GRADIENT_STACKS[name]
         rng = np.random.default_rng(width)
-        net = build_network(specs, width, rng=np.random.default_rng(width + 1))
+        net = build_network(specs, width, rng=np.random.default_rng(width + 1),
+                            dtype=np.float64)
         x = rng.random((6, width))
         targets = rng.integers(0, 2, (6, 1)).astype(np.float64)
         _, dout = bce_with_grad(net.forward(x), targets, rng.uniform(0.5, 2.0, 6))
@@ -310,8 +311,8 @@ def work_arrays(monkeypatch):
     handed = []
     work_array = Layer._work_array
 
-    def recording(self, name, shape):
-        handed.append(work_array(self, name, shape))
+    def recording(self, *args):
+        handed.append(work_array(self, *args))
         return handed[-1]
 
     monkeypatch.setattr(Layer, "_work_array", recording)
@@ -405,3 +406,77 @@ class TestWorkArrays:
             assert one.tobytes() == kept.tobytes()
             assert work_arrays
             assert not any(np.shares_memory(r, w) for r in (one, two) for w in work_arrays)
+
+
+FLOAT32_STACKS = ("dff", "cnn-full", "cnn-small", "rnn", "ae")
+# float32 carries about 7 significant digits; one batch's gradient through
+# these stacks differed from float64 by at most 5.4e-7 of its largest entry
+GRADIENT_RTOL = 1e-5
+
+
+def blob_fit_inputs(name, seed=9):
+    """(specs, x, targets, weights) of one REFERENCE_STACKS stack on scaled blobs."""
+    specs, width = REFERENCE_STACKS[name]
+    data = blobs(n0=30, n1=20, d=width, separation=1.0, seed=seed, scale01=True)
+    targets = data.values if name == "ae" else data.labels.astype(np.float64)
+    return specs, data.values, targets, np.where(data.labels == 1, 1.5, 0.625)
+
+
+class TestFloat32:
+    """Networks train in float32 by default; only the loss is computed in float64."""
+
+    @pytest.mark.parametrize("name", FLOAT32_STACKS)
+    def test_no_float64_array_during_a_fit(self, name, monkeypatch):
+        specs, x, targets, weights = blob_fit_inputs(name)
+        net = build_network(specs, x.shape[1], rng=np.random.default_rng(0))
+        assert net.flat.dtype == net.flat_grad.dtype == np.float32
+        results = []  # every layer's forward output and input gradient
+        for layer in net.layers:
+            for method in ("forward", "backward"):
+                def recorded(*args, _call=getattr(layer, method), **kwargs):
+                    out = _call(*args, **kwargs)
+                    if out is not None:
+                        results.append(out.dtype)
+                    return out
+                setattr(layer, method, recorded)
+        # at each step: the gradient, Adam's moments and every array a layer
+        # keeps, its work arrays included
+        held = []
+        step = Adam.step
+
+        def checked(adam, grads):
+            step(adam, grads)
+            held.extend(a.dtype for a in (*grads, *adam.params, *adam.m, *adam.v,
+                                          *held_arrays(net)))
+
+        monkeypatch.setattr(Adam, "step", checked)
+        history = fit_network(net, x, targets, TrainConfig(epochs=2, batch_size=16, seed=4),
+                              weights)
+        assert history.steps == 8
+        assert set(results) == set(held) == {np.dtype(np.float32)}
+        assert net.predict_proba(x).dtype == np.float64
+
+    @pytest.mark.parametrize("name", FLOAT32_STACKS)
+    def test_batch_gradient_matches_float64(self, name):
+        specs, x, targets, weights = blob_fit_inputs(name)
+        grads = []
+        for dtype in (np.float32, np.float64):  # the same draw, rounded or not
+            net = build_network(specs, x.shape[1], rng=np.random.default_rng(1), dtype=dtype)
+            out = net.forward(x, train=True, rng=np.random.default_rng(2))  # the same masks
+            _, dout = bce_with_grad(out, targets if name == "ae" else targets[:, None], weights)
+            net.backward(dout)
+            grads.append(net.flat_grad.astype(np.float64))
+        got, want = grads
+        assert np.abs(got - want).max() <= GRADIENT_RTOL * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", FLOAT32_STACKS)
+    def test_two_fits_byte_identical(self, name):
+        specs, x, targets, weights = blob_fit_inputs(name)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=5)
+        runs = []
+        for _ in range(2):
+            net = build_network(specs, x.shape[1], rng=seed_streams(cfg.seed)[0])
+            history = fit_network(net, x, targets, cfg, weights)
+            runs.append((net.flat.tobytes(), history.epoch_losses))
+        assert runs[0] == runs[1]
+        assert np.frombuffer(runs[0][0], np.float32).size == net.flat.size

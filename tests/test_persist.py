@@ -7,7 +7,7 @@ import pytest
 from flowbench.classifiers import dt_fit, dt_score, gnb_fit, lr_fit
 from flowbench.extract import lda_fit, pca_fit
 from flowbench.ingest import FeatureMatrix
-from flowbench.nn import LayerSpec
+from flowbench.nn import LayerSpec, build_network
 from flowbench.persist import load_model, save_model
 
 from helpers import blobs
@@ -126,10 +126,29 @@ def _dense_net(path, arrays):
     lambda path: _meta(path, version=3, type="LrModel"),
     lambda path: _dense_net(path, {"0": np.zeros((3, 1))}),
     lambda path: _dense_net(path, {"0": np.zeros((2, 1)), "1": np.zeros(1)}),
+    lambda path: _dense_net(path, {"0": np.zeros((3, 1), np.float32), "1": np.zeros(1)}),
+    lambda path: _dense_net(path, {"0": np.zeros((3, 1), np.int64), "1": np.zeros(1, np.int64)}),
 ], ids=["v1-json", "plain-text", "bare-npy", "npz-without-meta", "unknown-type",
-        "version-1", "version-3", "tensor-count", "tensor-shape"])
+        "version-1", "version-3", "tensor-count", "tensor-shape", "mixed-dtypes",
+        "integer-tensors"])
 def test_foreign_checkpoint_rejected(tmp_path, write):
     path = tmp_path / "model.npz"
     write(path)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_loads_in_its_saved_dtype(tmp_path, dtype):
+    """A float64 checkpoint is not rounded to the float32 default, and float32 stays float32."""
+    specs = [LayerSpec("dense", units=4, activation="relu"),
+             LayerSpec("dense", units=1, activation="sigmoid")]
+    net = build_network(specs, 3, rng=np.random.default_rng(0), dtype=dtype)
+    net.flat[...] = np.random.default_rng(1).standard_normal(net.flat.size)  # not float32-exact
+    path = tmp_path / "net.npz"
+    save_model(net, path)
+    loaded = load_model(path)
+    assert loaded.dtype == dtype
+    assert loaded.flat.tobytes() == net.flat.tobytes()
+    x = np.random.default_rng(2).random((5, 3))
+    assert loaded.predict_proba(x).tobytes() == net.predict_proba(x).tobytes()

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flowbench import runner as runner_mod
 from flowbench.evaluate import METRICS
 from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
@@ -325,18 +326,45 @@ class TestRun:
             else:
                 assert r["auc_pooled"] is None
 
-    def test_impossible_dims_yield_failure_rows(self, dataset, tmp_path):
-        records = run(small_config(dataset, tmp_path / "out",
-                                   dimensions=(2, 50), models=("nb",),
-                                   fe_methods=("pca",)))
-        by_dims = {r["dims"]: r for r in records if r["fold"] == "mean"}
-        assert by_dims[2]["status"] == "ok"
-        assert by_dims[50]["status"] == "failed"
-        assert by_dims[50]["error"]
-
-    def test_results_cells_are_manifest_values(self, dataset, tmp_path):
+    def test_impossible_dims_are_dropped_with_their_reason(self, dataset, tmp_path):
         out = tmp_path / "out"
-        run(small_config(dataset, out, dimensions=(2, 50), fe_methods=("full", "pca")))
+        records = run(small_config(dataset, out, dimensions=(2, 50), models=("nb",),
+                                   fe_methods=("pca", "ae")))
+        assert {(r["fe"], r["dims"]) for r in records} == {("pca", 2), ("ae", 2)}
+        assert all(r["status"] == "ok" for r in records)
+        _, completed, dropped = read_manifest(out)
+        assert sorted(completed) == ["ae:2:nb", "pca:2:nb"]
+        width = load_dataset(small_config(dataset, out)).n_features  # far below 320 rows
+        assert [(d["fe"], d["dims"]) for d in dropped] == [("pca", 50), ("ae", 50)]
+        assert all(f"PCA width {width} " in d["reason"] for d in dropped)
+        summary = (out / "summary.txt").read_text()
+        assert f"  pca:50 -> {dropped[0]['reason']}\n" in summary
+        assert f"  ae:50 -> {dropped[1]['reason']}\n" in summary
+
+    def test_dims_bound_follows_the_smallest_training_fold(self):
+        config = ExperimentConfig(dataset_path="unused", fe_methods=("full", "pca", "lda", "ae"),
+                                  dimensions=(1, 4, 5, 30))
+        groups, dropped = runner_mod._group_plan(config, n_features=14, n_train=6)
+        assert groups == [("full", 14), ("pca", 1), ("pca", 4), ("lda", 1), ("ae", 1), ("ae", 4)]
+        assert [(d["fe"], d["dims"]) for d in dropped] == [
+            ("pca", 5), ("pca", 30), ("ae", 5), ("ae", 30)]
+        assert dropped[0]["reason"] == (
+            "dims 5 is not below the PCA width 5 = min(6 training rows - 1, 14 features)")
+        groups, dropped = runner_mod._group_plan(config, n_features=14, n_train=400)
+        assert ("pca", 5) in groups and ("ae", 5) in groups
+        assert [(d["fe"], d["dims"]) for d in dropped] == [("pca", 30), ("ae", 30)]
+
+    def test_results_cells_are_manifest_values(self, dataset, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        truncate = runner_mod.pca_truncate
+
+        def failing_at_3(model, k):
+            if k == 3:
+                raise ValueError("pca 3 failed")
+            return truncate(model, k)
+
+        monkeypatch.setattr(runner_mod, "pca_truncate", failing_at_3)
+        run(small_config(dataset, out, dimensions=(2, 3), fe_methods=("full", "pca")))
         rows = read_csv(out / "results.csv")
         records = write_outputs(out, *read_manifest(out))
         assert rows[0] == list(RESULT_COLUMNS)
@@ -370,7 +398,7 @@ class TestRun:
         names, counts = np.unique(fm.attack_types[fm.labels == 1].astype(str),
                                   return_counts=True)
         attack_rows = dict(zip(names.tolist(), counts.tolist()))
-        _, completed = read_manifest(out)
+        _, completed, _ = read_manifest(out)
         ok = [cell for cell in completed.values() if cell["records"][-1]["status"] == "ok"]
         assert len(ok) == 8
         for cell in ok:
@@ -391,7 +419,7 @@ class TestRun:
         assert load_dataset(config).attack_types is None
         records = run(config)
         assert records and all(r["status"] == "ok" for r in records)
-        _, completed = read_manifest(out)
+        _, completed, _ = read_manifest(out)
         assert len(completed) == 8
         assert all(cell["per_attack"] is None for cell in completed.values())
         assert "Per-attack" not in (out / "summary.txt").read_text()
