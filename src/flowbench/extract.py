@@ -228,7 +228,13 @@ class VarianceReport:
     cumulative_fraction: np.ndarray | None = None  # PCA only
 
     def dump_csv(self, path) -> None:
-        write_csv(path, ("dimension_index", "variance"), enumerate(self.variances.tolist()))
+        """``dimension_index,variance``, and for PCA ``cumulative_fraction``."""
+        columns = [range(self.variances.size), self.variances.tolist()]
+        header = ["dimension_index", "variance"]
+        if self.cumulative_fraction is not None:
+            columns.append(self.cumulative_fraction.tolist())
+            header.append("cumulative_fraction")
+        write_csv(path, header, zip(*columns))
 
 
 def variance_report(extracted, method: str, total_variance: float | None = None) -> VarianceReport:

@@ -51,9 +51,11 @@ class LayerSpec:
         }
 
 
-def sigmoid(z):
+def sigmoid(z, e=None):
+    """The logistic function; ``e``, when given, must be ``np.exp(-np.abs(z))``."""
     # exp only ever sees -|z|, so it cannot overflow
-    e = np.exp(-np.abs(z))
+    if e is None:
+        e = np.exp(-np.abs(z))
     d = 1.0 + e
     # numerator 1 where z >= 0 (e <= 1 there) and e elsewhere, NaN kept;
     # a max over the mask is cheaper than np.where with a random mask
@@ -69,12 +71,16 @@ def _activate(name, z):
 
 
 def _activation_grad(name, out):
-    """d(activation)/d(pre-activation), expressed through the output."""
+    """d(activation)/d(pre-activation), expressed through the output.
+
+    A relu's is the mask ``out > 0``, so the chain rule is one masked
+    multiply; a linear activation's is None: the gradient passes as it is.
+    """
     if name == "relu":
-        return (out > 0).astype(out.dtype)
+        return out > 0
     if name == "sigmoid":
         return out * (1.0 - out)
-    return np.ones_like(out)
+    return None
 
 
 def _new_array(name, shape, dtype):
@@ -90,9 +96,9 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 class Layer:
     """Base layer. ``PARAMS`` pairs each parameter attribute with its gradient.
 
-    ``Network`` rebinds these attributes as views into its flat buffers, so
-    a layer must write its gradients in place (``self.dw[...] = ...``) and
-    never rebind them.
+    ``Network`` hands each layer its slice of the flat buffers (``bind``),
+    which makes these attributes views into them, so a layer must write its
+    gradients in place (``self.dw[...] = ...``) and never rebind them.
 
     ``backward(grad)`` takes d(loss)/d(output) of the last ``forward``,
     writes the parameter gradients and returns d(loss)/d(input). A layer
@@ -120,6 +126,21 @@ class Layer:
 
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
+
+    def bind(self, flat, flat_grad):
+        """Copy the parameters into the 1-D ``flat`` and make them, and their
+        gradients, views of ``flat`` and ``flat_grad``, in ``PARAMS`` order.
+
+        The values are rounded to ``flat``'s dtype.
+        """
+        offset = 0
+        for p, g in self.PARAMS:
+            tensor = getattr(self, p)
+            end = offset + tensor.size
+            flat[offset:end] = tensor.ravel()
+            setattr(self, p, flat[offset:end].reshape(tensor.shape))
+            setattr(self, g, flat_grad[offset:end].reshape(tensor.shape))
+            offset = end
 
     def _work_array(self, name, shape, dtype):
         """The leading ``shape[0]`` rows of the work array ``name``.
@@ -149,12 +170,20 @@ class Layer:
 
 
 class Dense(Layer):
+    """``activation(x @ w + b)``.
+
+    ``forward(..., logits=True)`` returns the pre-activation z instead, and
+    the next ``backward`` then takes d(loss)/dz: training moves a sigmoid
+    head's activation into the loss (``loss.bce_with_logits``).
+    """
+
     PARAMS = (("w", "dw"), ("b", "db"))
     CACHE = ("_x", "_out")
 
     def __init__(self, in_dim, units, activation="linear", rng=None):
         rng = rng or np.random.default_rng(0)
         self.activation = activation
+        self._applied = activation  # the activation the last forward applied
         self.w = glorot_uniform(rng, (in_dim, units), in_dim, units)
         self.b = np.zeros(units)
         self.dw = np.zeros_like(self.w)
@@ -162,16 +191,22 @@ class Dense(Layer):
         self._x = None
         self._out = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, logits=False):
         self._x = x
-        self._out = _activate(self.activation, x @ self.w + self.b)
+        self._applied = "linear" if logits else self.activation
+        self._out = _activate(self._applied, x @ self.w + self.b)
         return self._out
 
     def backward(self, grad, input_grad=True):
-        dz = grad * _activation_grad(self.activation, self._out)
+        act_grad = _activation_grad(self._applied, self._out)
+        dz = grad if act_grad is None else np.multiply(grad, act_grad)
         self.dw[...] = self._x.T @ dz
         self.db[...] = dz.sum(axis=0)
-        return dz @ self.w.T if input_grad else None
+        if not input_grad:
+            return None
+        if self.w.shape[1] == 1:  # an outer product: a broadcast beats a K=1 matmul
+            return dz * self.w.T
+        return dz @ self.w.T
 
 
 class Conv1D(Layer):
@@ -179,7 +214,11 @@ class Conv1D(Layer):
 
     Computed as im2col plus one matmul: row (i, t) of ``cols`` holds the k
     input steps t..t+k-1, channels innermost, which is the (k, c_in) order
-    of the flattened weight.
+    of the flattened weight, then a 1 that multiplies the bias. ``w`` and
+    ``b`` lie side by side in memory, in a network's flat buffer or in the
+    layer's own, so ``_wb`` is their (k * c_in + 1, filters) view: forward
+    is one product ``cols @ _wb`` and backward writes ``dw`` and ``db`` with
+    one product ``cols.T @ dz``.
     """
 
     PARAMS = (("w", "dw"), ("b", "db"))
@@ -193,11 +232,17 @@ class Conv1D(Layer):
         fan_out = kernel_size * filters
         self.w = glorot_uniform(rng, (kernel_size, in_channels, filters), fan_in, fan_out)
         self.b = np.zeros(filters)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        size = self.w.size + filters
+        self.bind(np.empty(size), np.zeros(size))
         self._cols = None
         self._in_shape = None
         self._out = None
+
+    def bind(self, flat, flat_grad):
+        super().bind(flat, flat_grad)
+        rows = self.w.size // self.b.size + 1
+        self._wb = flat.reshape(rows, -1)
+        self._dwb = flat_grad.reshape(rows, -1)
 
     def forward(self, x, train=False, rng=None):
         n, t, c = x.shape
@@ -206,16 +251,15 @@ class Conv1D(Layer):
             raise ValueError(f"sequence length {t} shorter than kernel {k}")
         out_len = t - k + 1
         f = self.b.size
+        kc = k * c
         array = self._work_array if train else _new_array
         self._in_shape = x.shape
-        cols = np.concatenate(
-            [x[:, j:j + out_len, :] for j in range(k)], axis=2,
-            out=array("cols", (n, out_len, k * c), x.dtype),
-        )
-        self._cols = cols.reshape(n * out_len, k * c)
-        z = np.matmul(self._cols, self.w.reshape(k * c, f),
-                      out=array("z", (n * out_len, f), x.dtype))
-        z += self.b
+        cols = array("cols", (n, out_len, kc + 1), x.dtype)
+        np.concatenate([x[:, j:j + out_len, :] for j in range(k)], axis=2,
+                       out=cols[:, :, :kc])
+        cols[:, :, kc] = 1.0
+        self._cols = cols.reshape(n * out_len, kc + 1)
+        z = np.matmul(self._cols, self._wb, out=array("z", (n * out_len, f), x.dtype))
         z = z.reshape(n, out_len, f)
         if self.activation == "relu":
             self._out = np.maximum(z, 0.0, out=z)
@@ -224,13 +268,12 @@ class Conv1D(Layer):
         return self._out
 
     def backward(self, grad, input_grad=True):
-        out = self._out
-        act_grad = out > 0 if self.activation == "relu" else _activation_grad(self.activation, out)
-        dz = np.multiply(grad, act_grad, out=self._work_array("dz", grad.shape, grad.dtype))
+        act_grad = _activation_grad(self.activation, self._out)
+        dz = grad if act_grad is None else np.multiply(
+            grad, act_grad, out=self._work_array("dz", grad.shape, grad.dtype))
         n, out_len, f = dz.shape
         dz2 = dz.reshape(n * out_len, f)
-        self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
-        self.db[...] = dz.sum(axis=(0, 1))
+        np.matmul(self._cols.T, dz2, out=self._dwb)
         if not input_grad:
             return None
         k, c = self.kernel_size, self._in_shape[2]

@@ -10,7 +10,8 @@ import numpy as np
 from ..errors import TrainingDiverged
 from ..ingest import integer, real, row_weights
 from .layers import AvgPool1D, Conv1D, Dense, Dropout, LSTM, Layer, Reshape
-from .loss import bce_with_grad
+# training calls bce_with_logits; bench/spans.py patches this module's bce_with_grad
+from .loss import bce_with_grad, bce_with_logits
 from .optim import Adam
 
 
@@ -57,39 +58,41 @@ class Network:
         self.specs = list(specs)
         self.input_dim = input_dim
         self.output_dim = output_dim
-        slots = [(layer, p, g) for layer in self.layers for p, g in layer.PARAMS]
-        total = sum(getattr(layer, p).size for layer, p, _ in slots)
-        self.flat = np.empty(total, dtype)
-        self.flat_grad = np.zeros(total, dtype)
+        sizes = [sum(getattr(layer, p).size for p, _ in layer.PARAMS) for layer in self.layers]
+        self.flat = np.empty(sum(sizes), dtype)
+        self.flat_grad = np.zeros(sum(sizes), dtype)
         # the lowest layer with parameters: training needs no gradient below it
         self._first_param = next(
             (i for i, layer in enumerate(self.layers) if layer.PARAMS), len(self.layers)
         )
         offset = 0
-        for layer, p, g in slots:
-            tensor = getattr(layer, p)
-            end = offset + tensor.size
-            self.flat[offset:end] = tensor.ravel()  # rounded to the network's dtype
-            setattr(layer, p, self.flat[offset:end].reshape(tensor.shape))
-            setattr(layer, g, self.flat_grad[offset:end].reshape(tensor.shape))
-            offset = end
+        for layer, size in zip(self.layers, sizes):
+            layer.bind(self.flat[offset:offset + size], self.flat_grad[offset:offset + size])
+            offset += size
 
     @property
     def dtype(self) -> np.dtype:
         return self.flat.dtype
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, logits=False):
+        """The network's output for the batch x.
+
+        With ``logits=True`` the head, a sigmoid ``Dense``, returns its
+        pre-activation z instead, and the next ``backward`` takes d(loss)/dz.
+        """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected batch of shape (n, {self.input_dim}), got {x.shape}"
             )
-        for layer in self.layers:
+        for layer in self.layers[:-1] if logits else self.layers:
             x = layer.forward(x, train=train, rng=rng)
+        if logits:
+            x = self.layers[-1].forward(x, train=train, rng=rng, logits=True)
         return x
 
     def backward(self, grad):
-        """Fill ``flat_grad`` from d(loss)/d(output).
+        """Fill ``flat_grad`` from d(loss)/d(output of the last ``forward``).
 
         The pass ends at the lowest layer with parameters, called with
         ``input_grad=False``: nothing reads the gradient of the input batch.
@@ -187,10 +190,16 @@ def fit_network(
     Batches are shuffled and dropout masks drawn from cfg.seed's streams.
     ``targets`` and ``sample_weight`` (one finite, non-negative loss
     weight) have one row per row of x, checked once before the first step.
-    x is cast to the network's dtype once; the loss and its gradient are
-    computed in float64. The layers keep their work arrays from step to
-    step and drop them when the fit returns or raises.
+    The network must end in a sigmoid ``Dense``: each step stops at its
+    pre-activation z and ``bce_with_logits`` applies the sigmoid, so a
+    saturated output still gets a gradient. x is cast to the network's
+    dtype once; the loss and its gradient are computed in float64. The
+    layers keep their work arrays from step to step and drop them when the
+    fit returns or raises.
     """
+    head = net.layers[-1] if net.layers else None
+    if not (isinstance(head, Dense) and head.activation == "sigmoid"):
+        raise ValueError("fit_network needs a network that ends in a sigmoid dense layer")
     x = np.asarray(x, dtype=net.dtype)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
@@ -213,12 +222,12 @@ def fit_network(
             epoch_loss = 0.0
             for step in range(steps_per_epoch):
                 sel = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-                out = net.forward(x[sel], train=True, rng=rng_dropout)
+                z = net.forward(x[sel], train=True, rng=rng_dropout, logits=True)
                 sw = None if sample_weight is None else sample_weight[sel]
-                loss, dout = bce_with_grad(out, targets[sel], sw)
+                loss, dz = bce_with_logits(z, targets[sel], sw)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch, step)
-                net.backward(dout)
+                net.backward(dz)
                 adam.step([net.flat_grad])
                 epoch_loss += loss * len(sel)
                 history.steps += 1

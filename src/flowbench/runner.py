@@ -27,7 +27,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -452,6 +451,16 @@ def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> N
         )
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported at its first use.
+
+    Importing concurrent.futures also imports multiprocessing, which only
+    ``run(jobs > 1)`` needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor as Pool
+    return Pool(max_workers=max_workers)
+
+
 def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Execute the sweep; returns the ordered result records (as dicts)."""
     out_dir = Path(config.output_dir)
@@ -484,6 +493,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     fold_fits = _fold_fits(config, fm, plan, with_pca)
 
     if jobs > 1 and len(todo) > 1:
+        from concurrent.futures import as_completed
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             futures = {
                 pool.submit(run_group, fe, dims, config, fm, fold_fits, pending): (fe, dims)

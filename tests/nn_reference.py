@@ -1,11 +1,15 @@
 """The network training step before its small-batch savings, kept as the reference for flowbench.nn.
 
-Every kernel here is the one the library used before: the two-division
+Every kernel here is the plain form of the library's: the two-division
 sigmoid, one sigmoid call per LSTM gate, pooling by ``mean`` and
 ``np.repeat``, the dropout mask as ``(rng.random(shape) < keep) / keep``,
-``np.clip`` in the loss, and a backward pass that computes every layer's
-input gradient, the first layer's included. Tests require the library to
-train byte-identical parameters and epoch losses.
+and a backward pass that computes every layer's input gradient, the
+first layer's included. Training runs on logits, as the library does:
+the sigmoid head returns its pre-activation and the loss is BCE on
+logits. The conv bias is the last row of the im2col product's weight,
+so its sum over rows and steps is rounded as the library rounds it.
+Tests require the library to train byte-identical parameters and epoch
+losses.
 """
 
 import numpy as np
@@ -13,8 +17,6 @@ import numpy as np
 from flowbench.nn import layers
 from flowbench.nn.network import build_network
 from flowbench.nn.optim import Adam
-
-CLAMP_EPS = 1e-7
 
 
 def sigmoid(z):
@@ -39,32 +41,33 @@ def activation_grad(name, out):
     return np.ones_like(out)
 
 
-def bce_with_grad(probs, targets, sample_weight=None):
-    p = np.asarray(probs, dtype=np.float64)
+def bce_with_logits(logits, targets, sample_weight=None):
+    z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    squeeze = p.ndim == 1
+    squeeze = z.ndim == 1
     if squeeze:
-        p = p[:, None]
+        z = z[:, None]
         y = y[:, None]
-    n, m = p.shape
+    n, m = z.shape
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    per = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
+    per = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     loss = float((w[:, None] * per).sum() / (n * m))
-    dp = w[:, None] * (pc - y) / (pc * (1.0 - pc)) / (n * m)
+    dz = w[:, None] * (sigmoid(z) - y) / (n * m)
     if squeeze:
-        dp = dp[:, 0]
-    return loss, dp
+        dz = dz[:, 0]
+    return loss, dz
 
 
 class Dense(layers.Dense):
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, logits=False):
         self._x = x
-        self._out = activate(self.activation, x @ self.w + self.b)
+        self._logits = logits
+        z = x @ self.w + self.b
+        self._out = z if logits else activate(self.activation, z)
         return self._out
 
     def backward(self, grad):
-        dz = grad * activation_grad(self.activation, self._out)
+        dz = grad if self._logits else grad * activation_grad(self.activation, self._out)
         self.dw[...] = self._x.T @ dz
         self.db[...] = dz.sum(axis=0)
         return dz @ self.w.T
@@ -76,10 +79,12 @@ class Conv1D(layers.Conv1D):
         k = self.kernel_size
         out_len = t - k + 1
         self._in_shape = x.shape
+        ones = np.ones((n, out_len, 1))
         self._cols = np.concatenate(
-            [x[:, j:j + out_len, :] for j in range(k)], axis=2
-        ).reshape(n * out_len, k * c)
-        z = self._cols @ self.w.reshape(k * c, -1) + self.b
+            [x[:, j:j + out_len, :] for j in range(k)] + [ones], axis=2
+        ).reshape(n * out_len, k * c + 1)
+        wb = np.concatenate([self.w.reshape(k * c, -1), self.b[None, :]])
+        z = self._cols @ wb
         self._out = activate(self.activation, z.reshape(n, out_len, -1))
         return self._out
 
@@ -87,8 +92,9 @@ class Conv1D(layers.Conv1D):
         dz = grad * activation_grad(self.activation, self._out)
         n, out_len, f = dz.shape
         dz2 = dz.reshape(n * out_len, f)
-        self.dw[...] = (self._cols.T @ dz2).reshape(self.dw.shape)
-        self.db[...] = dz.sum(axis=(0, 1))
+        dwb = self._cols.T @ dz2
+        self.dw[...] = dwb[:-1].reshape(self.dw.shape)
+        self.db[...] = dwb[-1]
         c = self._in_shape[2]
         dcols = (dz2 @ self.w.reshape(-1, f).T).reshape(n, out_len, self.kernel_size, c)
         dx = np.zeros(self._in_shape)
@@ -209,10 +215,9 @@ def reference_fit(specs, x, targets, cfg, sample_weight=None):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            out = net.forward(x[sel], train=True, rng=r_dropout)
+            z = net.forward(x[sel], train=True, rng=r_dropout, logits=True)
             sw = None if sample_weight is None else sample_weight[sel]
-            loss, dout = bce_with_grad(out, targets[sel], sw)
-            grad = dout
+            loss, grad = bce_with_logits(z, targets[sel], sw)
             for layer in reversed(net.layers):
                 grad = layer.backward(grad)
             adam.step([net.flat_grad])

@@ -304,3 +304,22 @@ class TestVarianceReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "dimension_index,variance"
         assert len(lines) == 4
+
+    def test_pca_csv_dump_has_the_cumulative_fraction(self, tmp_path):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(50, 7)) * rng.uniform(0.5, 2.0, 7)
+        model = pca_fit(x, 4)  # three components left out
+        report = variance_report(pca_transform(x, model), "pca",
+                                 total_variance=model.total_variance)
+        path = tmp_path / "var.csv"
+        report.dump_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "dimension_index,variance,cumulative_fraction"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == [0, 1, 2, 3]
+        assert [r[1] for r in rows] == report.variances.tolist()
+        cumulative = np.array([r[2] for r in rows])
+        assert (np.diff(cumulative) >= 0).all()
+        kept = report.variances.sum() / model.total_variance
+        assert cumulative[-1] == pytest.approx(kept, rel=1e-12)
+        assert cumulative[-1] < 0.99

@@ -8,8 +8,8 @@ from flowbench.classifiers.nets import cnn_layers, dff_layers, rnn_layers
 from flowbench.errors import TrainingDiverged
 from flowbench.extract import AeModel, ae_encode, ae_fit, autoencoder_specs
 from flowbench.nn import (
-    Adam, LayerSpec, Network, TrainConfig, bce_with_grad, build_network, fit_network,
-    parameter_count, train,
+    Adam, LayerSpec, Network, TrainConfig, bce_with_grad, bce_with_logits, build_network,
+    fit_network, parameter_count, train,
 )
 from flowbench.nn.layers import AvgPool1D, Conv1D, Layer
 from flowbench.nn.network import seed_streams
@@ -138,10 +138,10 @@ def hand_run(specs, x, targets, cfg, sample_weight=None):
         r_shuffle.shuffle(order)
         for start in range(0, x.shape[0], cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            out = net.forward(x[sel], train=True, rng=r_dropout)
+            z = net.forward(x[sel], train=True, rng=r_dropout, logits=True)
             sw = None if sample_weight is None else sample_weight[sel]
-            _, dout = bce_with_grad(out, targets[sel], sw)
-            net.backward(dout)
+            _, dz = bce_with_logits(z, targets[sel], sw)
+            net.backward(dz)
             adam.step([net.flat_grad])
     return net
 

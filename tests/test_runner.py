@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -224,7 +226,13 @@ class TestRun:
                 [r["fe"], str(r["dims"]), repr(r["auc"])] for r in rows
             ]
         n_features = next(r["dims"] for r in means if r["fe"] == "full")
-        assert len(read_csv(out / "variance" / "synthetic_pca.csv")) == 1 + n_features
+        pca_rows = read_csv(out / "variance" / "synthetic_pca.csv")
+        assert pca_rows[0] == ["dimension_index", "variance", "cumulative_fraction"]
+        assert [row[0] for row in pca_rows[1:]] == [str(i) for i in range(n_features)]
+        cumulative = np.array([float(row[2]) for row in pca_rows[1:]])
+        assert (np.diff(cumulative) >= 0).all()
+        assert cumulative[-1] == pytest.approx(1.0, abs=1e-12)  # every component is kept
+        assert read_csv(out / "variance" / "synthetic_lda.csv")[0] == ["dimension_index", "variance"]
         assert len(read_csv(out / "variance" / "synthetic_lda.csv")) == 1 + 1
         # one job: the cells finish in plan order, the order of results.csv
         assert len(pooled) == len(means)
@@ -605,6 +613,17 @@ def test_crashed_worker_keeps_finished_groups(dataset, tmp_path, monkeypatch):
     run(config)
     assert ((tmp_path / "out" / "results.csv").read_bytes()
             == (tmp_path / "uninterrupted" / "results.csv").read_bytes())
+
+
+def test_import_loads_no_process_pool():
+    """concurrent.futures and multiprocessing load only when run(jobs > 1) starts a pool."""
+    code = ("import sys, flowbench, flowbench.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(runner_mod.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestFoldIsolation:
