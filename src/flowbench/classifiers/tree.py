@@ -9,17 +9,24 @@ the weighted impurity. A threshold lies in [a, b) of the neighbours it
 separates, so a split sends left the rows of its feature's sorted order up
 to the cut and the rest right, and both children hold rows.
 
-A fit sorts each feature once, with a stable sort (SLIQ, Mehta et al.
-1996). Each node keeps its rows in every feature's sorted order, and a
-split hands each child its part of every list by one stable partition, so
-no node sorts again. A node of more than ``SMALL`` rows is searched alone,
-depth first, over all of its features at once. Smaller nodes wait in a
-pool; once no large node is left, the pool's row lists are laid side by
-side and searched together, one level of the pool at a time (SLIQ's
-breadth-first pass), so that a small node costs a few numpy calls rather
-than a few dozen. Both searches run the same Gini arithmetic, in blocks of
-about ``SEARCH_BLOCK`` (feature, row) entries, and give the same trees;
-nodes are numbered at the end as the depth-first fit numbers them.
+A fit sorts each feature once (SLIQ, Mehta et al. 1996): numpy's fast
+sort, then each run of equal values back in row order (``_restore_ties``),
+which is the stable sort's order. Each node keeps its rows in every
+feature's sorted order, and a split hands each child its part of every
+list by one stable partition, so no node sorts again. A node of more than
+``SMALL`` rows is searched alone, depth first, over all of its features at
+once. Smaller nodes wait in a pool; once no large node is left, the
+pool's row lists are laid side by side and searched together, one level
+of the pool at a time (SLIQ's breadth-first pass), so that a small node
+costs a few numpy calls rather than a few dozen. Both searches run the
+same Gini arithmetic, in blocks of about ``SEARCH_BLOCK`` (feature, row)
+entries, and give the same trees; nodes are numbered at the end as the
+depth-first fit numbers them.
+
+Without sample weights the sums are class counts: a node's totals come
+from its counts, the left side's weight is a row position and its class-1
+weight a running count; these whole numbers equal the sums of unit
+weights bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +94,36 @@ def presort(x) -> np.ndarray:
 
     Row 0 is 0..n-1; row 1 + f holds the same rows sorted stably by feature f.
     """
-    return np.vstack([np.arange(x.shape[0]), np.argsort(x.T, axis=1, kind="stable")])
+    lists = np.empty((x.shape[1] + 1, x.shape[0]), dtype=np.int64)
+    lists[0] = np.arange(x.shape[0])
+    lists[1:] = np.argsort(x.T, axis=1)  # numpy's fast sort: ties in any order
+    for order, column in zip(lists[1:], x.T):
+        _restore_ties(order, column)
+    return lists
+
+
+def _restore_ties(order, values) -> None:
+    """Put the rows of each run of equal ``values[order]`` in row order, in place.
+
+    ``order`` sorts ``values`` (NaNs last); afterwards it is the stable sort's
+    order. The NaNs form one run, as they do for the stable sort.
+    """
+    n = order.size
+    sorted_values = values[order]
+    tie = sorted_values[1:] == sorted_values[:-1]
+    if n and sorted_values[-1] != sorted_values[-1]:
+        tie |= np.isnan(sorted_values[1:]) & np.isnan(sorted_values[:-1])
+    if not tie.any():
+        return
+    # sort (run, row) keys, run * n + row (below 2^63 for n < 3e9); runs are
+    # numbered in sorted order, so only rows within a run move
+    keys = np.empty(n, dtype=np.int64)
+    keys[0] = order[0]
+    np.cumsum(~tie, out=keys[1:])
+    keys[1:] *= n
+    keys[1:] += order[1:]
+    keys.sort()
+    np.remainder(keys, n, out=order)
 
 
 def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
@@ -96,7 +132,8 @@ def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
     ``block`` (f, m) holds nodes' rows sorted by each of ``features`` (f, 1),
     one node per column segment ``bounds[i]:bounds[i + 1]``. The totals are a
     node's class-0, class-1 and total weight: scalars for one node, or one
-    entry per column. A NaN Gini (a side's weight rounded to 0) stays NaN.
+    entry per column. ``w`` None weighs every row 1. A NaN Gini (a side's
+    weight rounded to 0) stays NaN.
     """
     # side[s, f, k] and cls[c, s, f, k]: the weight and the class-c weight on
     # side s (left, right) of the cut after sorted position k; cls becomes
@@ -105,11 +142,23 @@ def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
     # result is bit-identical to it.
     buf = np.empty((6,) + block.shape)
     side, cls = buf[:2], buf[2:].reshape((2, 2) + block.shape)
-    side[0] = w[block]
-    np.multiply(side[0], y1[block], out=cls[1, 0])
-    sums = buf[::4]  # side[0] and cls[1, 0]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):  # each node's sums start at 0
-        np.add.accumulate(sums[:, :, lo:hi], axis=2, out=sums[:, :, lo:hi])
+    if w is None:
+        # unit weights: the left weight is the row count, 1 + the position in
+        # the node, and the class-1 weight one count over the block less the
+        # count before the node; whole numbers, so equal to the sums of 1.0
+        np.add.accumulate(y1[block], axis=1, dtype=np.float64, out=cls[1, 0])
+        side[0] = np.arange(1.0, block.shape[1] + 1)
+        if len(bounds) > 2:
+            starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+            side[0] -= np.repeat(starts, sizes)
+            before = cls[1, 0][:, starts[1:] - 1]
+            cls[1, 0][:, bounds[1]:] -= np.repeat(before, sizes[1:], axis=1)
+    else:
+        side[0] = w[block]
+        np.multiply(side[0], y1[block], out=cls[1, 0])
+        sums = buf[::4]  # side[0] and cls[1, 0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):  # each node's sums start at 0
+            np.add.accumulate(sums[:, :, lo:hi], axis=2, out=sums[:, :, lo:hi])
     np.subtract(side[0], cls[1, 0], out=cls[0, 0])
     np.subtract(total_w0, cls[0, 0], out=cls[0, 1])
     np.subtract(total_w1, cls[1, 0], out=cls[1, 1])
@@ -137,16 +186,20 @@ def _totals(node_w, class1_w):
     return total_w - total_w1, total_w1, total_w
 
 
-def _search_node(x, y1, w, lists):
+def _search_node(x, y1, w, lists, counts):
     """The best cut of one node, (feature, sorted position, weighted Gini), or None.
 
-    ``lists`` holds the node's rows in the layout of ``presort``. The cut
-    after sorted position k of feature f sends that feature's first k + 1
-    rows left. None when no cut strictly reduces the node's impurity.
+    ``lists`` holds the node's rows in the layout of ``presort`` and
+    ``counts`` its (class-0, class-1) row counts. The cut after sorted
+    position k of feature f sends that feature's first k + 1 rows left.
+    None when no cut strictly reduces the node's impurity.
     """
     rows, order = lists[0], lists[1:]
-    node_w = w[rows]
-    totals = _totals(node_w, node_w[y1[rows]])
+    if w is None:
+        totals = float(counts[0]), float(counts[1]), float(rows.size)
+    else:
+        node_w = w[rows]
+        totals = _totals(node_w, node_w[y1[rows]])
     d, m = order.shape
     if m < 2 or d == 0:
         return None
@@ -172,10 +225,11 @@ def _search_pool(x, y1, w, lists, bounds, total_w0, total_w1, total_w):
     """The best cut of each node laid side by side in ``lists``.
 
     Node i holds columns ``bounds[i]:bounds[i + 1]`` of ``lists`` (the layout
-    of ``presort``), and the totals hold one entry per column. Returns the
-    (weighted Gini, feature, sorted position) arrays, one entry per node;
-    the Gini is inf where a node has no cut. The choice is ``_search_node``'s:
-    NaN is no cut, then the lowest feature, then the lowest position.
+    of ``presort``), and the totals hold one entry per column; ``w`` None
+    weighs every row 1. Returns the (weighted Gini, feature, sorted position)
+    arrays, one entry per node; the Gini is inf where a node has no cut.
+    The choice is ``_search_node``'s: NaN is no cut, then the lowest
+    feature, then the lowest position.
     """
     order = lists[1:]
     d = order.shape[0]
@@ -223,9 +277,11 @@ def best_split(x, y, w, presorted=None):
     split exists or none strictly reduces the node impurity.
     """
     x = np.asarray(x, dtype=np.float64)
-    w = np.ones(x.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    y1 = np.asarray(y) == 1
+    w = None if w is None else np.asarray(w, dtype=np.float64)
     lists = presort(x) if presorted is None else presorted
-    found = _search_node(x, np.asarray(y) == 1, w, lists)
+    n1 = np.count_nonzero(y1[lists[0]])
+    found = _search_node(x, y1, w, lists, (lists.shape[1] - n1, n1))
     if found is None:
         return None
     feature, k, weighted = found
@@ -296,14 +352,15 @@ class _Nodes:
 def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
     """Grow a tree to purity (or until no split reduces weighted Gini).
 
-    ``sample_weight`` holds one positive, finite weight per row (1 when absent).
+    ``sample_weight`` holds one positive, finite weight per row. Without it
+    every row weighs 1, and the search sums class counts instead of weights.
     """
     x = train.values
     y1 = train.labels == 1
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot fit a tree on an empty matrix")
-    w = row_weights(sample_weight, n, allow_zero=False)
+    w = None if sample_weight is None else row_weights(sample_weight, n, allow_zero=False)
 
     nodes = _Nodes()
     n1 = np.count_nonzero(y1)
@@ -326,7 +383,7 @@ def _grow_large(x, y1, w, nodes, lists, go_left):
     (stack if lists.shape[1] > SMALL else pool).append((0, lists))
     while stack:
         node, lists = stack.pop()
-        found = _search_node(x, y1, w, lists)
+        found = _search_node(x, y1, w, lists, nodes.counts[node].tolist())
         if found is None:
             continue
         f, k, _ = found
@@ -365,15 +422,21 @@ def _grow_pool(x, y1, w, nodes, pool, go_left):
         n1 = nodes.counts[ids, 1]
         rows = lists[0]
         y1_rows = y1[rows]
-        node_w = w[rows]
-        class1_w = node_w[y1_rows]
         bounds = [0] + ends.tolist()
-        bounds1 = [0] + np.cumsum(n1).tolist()  # of the class-1 rows in row order
-        totals = [_totals(node_w[lo:hi], class1_w[lo1:hi1])
-                  for lo, hi, lo1, hi1 in zip(bounds, bounds[1:], bounds1, bounds1[1:])]
-        parent = np.array([gini(w0, w1) for w0, w1, _ in totals])
+        if w is None:
+            totals = np.array([sizes - n1, n1, sizes], dtype=np.float64)
+        else:
+            node_w = w[rows]
+            class1_w = node_w[y1_rows]
+            bounds1 = [0] + np.cumsum(n1).tolist()  # of the class-1 rows in row order
+            totals = np.array([_totals(node_w[lo:hi], class1_w[lo1:hi1]) for lo, hi, lo1, hi1
+                               in zip(bounds, bounds[1:], bounds1, bounds1[1:])]).T
+        w0, w1 = totals[:2]
+        total = w0 + w1
+        p0, p1 = w0 / total, w1 / total
+        parent = 1.0 - p0 * p0 - p1 * p1  # gini(w0, w1) of each node, none of them empty
         weighted, feature, cut = _search_pool(
-            x, y1, w, lists, bounds, *np.repeat(np.array(totals).T, sizes, axis=1))
+            x, y1, w, lists, bounds, *np.repeat(totals, sizes, axis=1))
 
         split = weighted < parent
         parents, f, k = ids[split], feature[split], cut[split]

@@ -114,7 +114,8 @@ def _operating_points(probabilities, labels) -> tuple[np.ndarray, np.ndarray, fl
     Sweeps the distinct scores descending with ties grouped, from (0, 0) to
     (n_neg, n_pos). The trapezoid over a tie group averages the corner
     points, so the area equals the Mann-Whitney statistic
-    P(s+ > s-) + 0.5 * P(s+ = s-).
+    P(s+ > s-) + 0.5 * P(s+ = s-). The counts are read at the ends of the
+    tie groups, so the order of the rows within a group does not matter.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels)
@@ -126,7 +127,7 @@ def _operating_points(probabilities, labels) -> tuple[np.ndarray, np.ndarray, fl
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both classes present")
 
-    order = np.argsort(-p, kind="stable")
+    order = np.argsort(-p)  # numpy's fast sort: ties in any order
     sorted_y = y[order] == 1
     sorted_p = p[order]
     # last index of each tie group of equal scores

@@ -365,12 +365,11 @@ def _cell_payload(fe, dims, model, config: ExperimentConfig, cell,
     """
     cell_id = dict(dataset=config.schema_name, model=model, fe=fe, dims=dims)
     if cell["error"] is not None:
-        rec = ResultRecord(**cell_id, fold="mean", status="failed", error=cell["error"])
-        return {"records": [asdict(rec)], "per_attack": None, "wall_time": cell["wall"]}, None
+        rec = _row(**cell_id, fold="mean", status="failed", error=cell["error"])
+        return {"records": [rec], "per_attack": None, "wall_time": cell["wall"]}, None
 
     def row(fold, report, **extra):
-        return asdict(ResultRecord(**cell_id, fold=fold,
-                                   **{m: getattr(report, m) for m in METRICS}, **extra))
+        return _row(**cell_id, fold=fold, **{m: getattr(report, m) for m in METRICS}, **extra)
 
     records = [row(str(fold), report) for fold, report in enumerate(cell["reports"])]
     pooled_probs = np.concatenate(cell["probs"])
@@ -383,8 +382,14 @@ def _cell_payload(fe, dims, model, config: ExperimentConfig, cell,
     return {"records": records, "per_attack": per_attack, "wall_time": cell["wall"]}, curve
 
 
-def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
-    """The completed cells of the manifest at ``path`` if it was written for ``config``.
+def _row(**values) -> dict:
+    """``asdict(ResultRecord(**values))``: the record's fields in order, all scalars."""
+    rec = ResultRecord(**values)
+    return {name: getattr(rec, name) for name in ResultRecord.__dataclass_fields__}
+
+
+def _load_completed(path: Path, digest: str) -> dict[str, dict]:
+    """The completed cells of the manifest at ``path`` if its config digest is ``digest``.
 
     A manifest of another config is discarded with the ``roc/`` and
     ``sweeps/`` CSVs of its run, which the fresh run might not rewrite.
@@ -393,7 +398,7 @@ def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("config_digest") != config.digest():
+    if doc.get("config_digest") != digest:
         log.warning("manifest does not match this config; starting fresh")
         for stale in ("roc", "sweeps"):
             for csv_path in (path.parent / stale).glob("*.csv"):
@@ -403,15 +408,9 @@ def _load_completed(path: Path, config: ExperimentConfig) -> dict[str, dict]:
     return doc["completed"]
 
 
-def _flush_manifest(path: Path, config: ExperimentConfig, completed: dict,
-                    dropped: list[dict]) -> None:
-    doc = {
-        "version": CONFIG_VERSION,
-        "config_digest": config.digest(),
-        "config": config.to_dict(),
-        "completed": completed,
-        "dropped": dropped,
-    }
+def _flush_manifest(path: Path, header: dict, completed: dict, dropped: list[dict]) -> None:
+    """Write the manifest: ``header`` (the run's config block), then the cells and the drops."""
+    doc = {**header, "completed": completed, "dropped": dropped}
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))  # json.dump never uses the C encoder
@@ -475,14 +474,17 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     for group in dropped:
         log.warning("dropped %s:%s: %s", group["fe"], group["dims"], group["reason"])
     manifest = out_dir / "manifest.json"
-    completed = _load_completed(manifest, config)
+    # the manifest's config block, the same at every flush
+    header = {"version": CONFIG_VERSION, "config_digest": config.digest(),
+              "config": config.to_dict()}
+    completed = _load_completed(manifest, header["config_digest"])
 
     def finish_group(fe, dims, cells):
         for model, (payload, curve) in cells.items():
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
             completed[f"{fe}:{dims}:{model}"] = payload
-        _flush_manifest(manifest, config, completed, dropped)
+        _flush_manifest(manifest, header, completed, dropped)
 
     todo = []
     for fe, dims in groups:

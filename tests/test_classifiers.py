@@ -299,12 +299,15 @@ class TestPresortedTree:
 
     @staticmethod
     def assert_every_growth_matches(monkeypatch, fm, w):
+        """An unweighted fit (w None) must also equal the fit with unit weights."""
         want = reference_dt_fit(fm, w)
         for small in (1, 64, 10**9):
             for block in (1, 7, tree.SEARCH_BLOCK):
                 monkeypatch.setattr(tree, "SMALL", small)
                 monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
                 assert_same_tree(dt_fit(fm, w), want)
+                if w is None:
+                    assert_same_tree(dt_fit(fm, np.ones(fm.n_samples)), want)
         return want
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -374,6 +377,27 @@ class TestPresortedTree:
         # mixed leaves, where no cut reduced the impurity, count too
         assert (mixed & (model.feature < 0)).any()
 
+    @settings(max_examples=150, deadline=None)
+    @given(tree_inputs())
+    def test_unweighted_fit_matches_unit_weights(self, case):
+        # without weights the search sums class counts; with unit weights it
+        # sums 1.0 per row: both must give the reference's tree
+        fm, _, _, _ = case
+        ones = np.ones(fm.n_samples)
+        want = reference_dt_fit(fm)
+        saved = tree.SEARCH_BLOCK, tree.SMALL
+        try:
+            for small in (1, 64, 10**9):
+                for block in (1, 7, saved[0]):
+                    tree.SEARCH_BLOCK, tree.SMALL = block, small
+                    assert_same_tree(dt_fit(fm), want)
+                    assert_same_tree(dt_fit(fm, ones), want)
+        finally:
+            tree.SEARCH_BLOCK, tree.SMALL = saved
+        x, y = fm.values, fm.labels
+        assert repr(best_split(x, y, None)) == repr(best_split(x, y, ones)) \
+            == repr(reference_best_split(x, y, None))
+
     def test_public_best_split_sorts_itself(self):
         x = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
         y = np.array([1, 0, 1, 0])
@@ -381,6 +405,65 @@ class TestPresortedTree:
         lists = tree.presort(x)
         assert lists.tolist() == [[0, 1, 2, 3], [3, 1, 2, 0], [2, 3, 0, 1]]
         assert best_split(x, y, np.ones(4), lists) == (0, 1.5, 0.0)
+
+
+@st.composite
+def sort_inputs(draw):
+    """Columns with many ties: rounded values, +-0.0 and NaN, maybe constant; any width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 15, 40, 300]))
+    d = draw(st.integers(0, 4))
+    x = np.round(rng.normal(scale=2.0, size=(n, d)), draw(st.sampled_from([0, 1, 3])))
+    special = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    x[special] = rng.choice([0.0, -0.0, np.nan], size=int(special.sum()))
+    x[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    return x
+
+
+def same_value(a, b):
+    """Elementwise a == b, where NaN equals NaN."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
+
+
+class TestTreeSort:
+    """``presort`` sorts fast, then puts every run of equal values back in row order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sort_inputs())
+    def test_presort_is_the_stable_argsort(self, x):
+        lists = tree.presort(x)
+        want = np.vstack([np.arange(x.shape[0]), np.argsort(x.T, axis=1, kind="stable")])
+        assert (lists.dtype, lists.shape) == (want.dtype, want.shape)
+        assert lists.tolist() == want.tolist()
+
+    def test_fast_sort_breaks_ties_out_of_row_order(self):
+        # else the tie repair would have nothing to do here
+        x = np.random.default_rng(2).integers(0, 4, size=(1000, 1)).astype(float)
+        assert np.argsort(x[:, 0]).tolist() != np.argsort(x[:, 0], kind="stable").tolist()
+        assert tree.presort(x)[1].tolist() == np.argsort(x[:, 0], kind="stable").tolist()
+
+    @pytest.mark.parametrize("scramble", ["reversed", "shuffled"])
+    def test_ties_restored_from_any_order(self, scramble):
+        rng = np.random.default_rng(5)
+        n = 500
+        values = rng.integers(-2, 4, n).astype(float)
+        values[rng.random(n) < 0.1] = np.nan
+        values[rng.random(n) < 0.1] = -0.0  # equal to the 0.0 rows
+        stable = np.argsort(values, kind="stable")
+        run = np.cumsum(np.r_[True, ~same_value(values[stable][1:], values[stable][:-1])])
+        within = -np.arange(n) if scramble == "reversed" else rng.random(n)
+        order = stable[np.lexsort((within, run))]  # each run's rows in another order
+        assert order.tolist() != stable.tolist()
+        tree._restore_ties(order, values)
+        assert order.tolist() == stable.tolist()
+
+    def test_best_split_takes_nan_and_signed_zeros(self):
+        # NaNs sort last and form one run; -0.0 and 0.0 are one value
+        x = np.array([[np.nan, 0.0], [1.0, -0.0], [np.nan, 0.0], [0.0, 1.0], [-0.0, -0.0]])
+        y = np.array([0, 1, 1, 0, 1])
+        assert tree.presort(x).tolist() == [[0, 1, 2, 3, 4], [3, 4, 1, 0, 2], [0, 1, 2, 4, 3]]
+        for w in (None, np.ones(5), np.arange(1.0, 6.0)):
+            assert repr(best_split(x, y, w)) == repr(reference_best_split(x, y, w))
 
 
 class TestTreeProgress:

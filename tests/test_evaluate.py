@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.evaluate import (
-    ConfusionCounts, aggregate_folds, confusion, evaluate, metrics, per_attack_dr,
-    roc_auc,
+    ConfusionCounts, _operating_points, aggregate_folds, confusion, evaluate, metrics,
+    per_attack_dr, roc_auc,
 )
 from helpers import full_roc, roc_vertices
 
@@ -296,3 +296,37 @@ def test_roc_curve_is_the_vertex_set_property(pairs):
     for a, v, b in zip(kept, kept[1:], kept[2:]):
         assert cross(a, v, b) != 0
     assert kept == roc_vertices(fp, tp)
+
+
+def stable_sort_roc(scores, labels):
+    """``roc_auc`` as it was with a stable sort: integer (fp, tp), the AUC and the curve."""
+    p = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    order = np.argsort(-p, kind="stable")
+    ends = np.r_[np.flatnonzero(np.diff(p[order]) != 0), p.size - 1]
+    tp = np.r_[0, np.cumsum(y[order] == 1)[ends]]
+    fp = np.r_[0, ends + 1] - tp
+    auc = float(np.trapezoid(tp / tp[-1], fp / fp[-1]))
+    dfp, dtp = np.diff(fp), np.diff(tp)
+    vertex = np.r_[True, dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:], True]
+    return fp, tp, auc, fp[vertex] / fp[-1], tp[vertex] / tp[-1]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 30, 400]),
+       st.lists(st.sampled_from([-0.0, 0.0, 0.125, 0.5, 0.5000000000000001, 1.0]),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_tie_order_does_not_change_the_roc(seed, n, levels):
+    # the fast sort leaves each tie group's rows in any order; the counts
+    # are read at the group ends, so every output equals the stable sort's
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.array(levels), n)  # -0.0 and 0.0 are one tie group
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    fp, tp, auc, far, dr = stable_sort_roc(scores, labels)
+    got_fp, got_tp, got_auc = _operating_points(scores, labels)
+    assert (got_fp.tolist(), got_tp.tolist()) == (fp.tolist(), tp.tolist())
+    assert repr(got_auc) == repr(auc)
+    curve, curve_auc = roc_auc(scores, labels)
+    assert (curve.far.tobytes(), curve.dr.tobytes()) == (far.tobytes(), dr.tobytes())
+    assert repr(curve_auc) == repr(evaluate(scores, labels).auc) == repr(auc)

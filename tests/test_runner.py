@@ -8,18 +8,18 @@ import sys
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from flowbench import runner as runner_mod
-from flowbench.evaluate import METRICS
+from flowbench.evaluate import METRICS, evaluate
 from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
-    DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, best_overall, best_per_model,
-    derive_seed, load_dataset, read_manifest, run, write_outputs,
+    DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, ResultRecord, best_overall,
+    best_per_model, derive_seed, load_dataset, read_manifest, run, write_outputs,
 )
 from flowbench.preprocess import stratified_kfold
 from flowbench.schema import get_schema, schema_to_file
@@ -514,6 +514,40 @@ class TestSharedFits:
                 assert r["error"] == "ValueError: SVD did not converge"
             else:
                 assert r["status"] == "ok"
+
+
+def test_cell_rows_are_the_records_as_dicts(dataset):
+    """Each manifest row is ``asdict`` of its ResultRecord: every field, in order."""
+    config = small_config(dataset, "unused")
+    rng = np.random.default_rng(8)
+    labels = np.tile([0, 1], 20)
+    probs = [rng.random(20), rng.random(20)]
+    ok = {"reports": [evaluate(p, labels[:20]) for p in probs], "probs": probs,
+          "wall": 0.5, "error": None}
+    failed = dict(ok, reports=[], probs=[], error="RuntimeError: boom")
+    for cell, folds in ((ok, ["0", "1", "mean"]), (failed, ["mean"])):
+        payload, _ = runner_mod._cell_payload("pca", 2, "dt", config, cell, labels, None)
+        assert [row["fold"] for row in payload["records"]] == folds
+        for row in payload["records"]:
+            assert list(row.items()) == list(asdict(ResultRecord(**row)).items())
+    assert payload["records"][0]["status"] == "failed"
+
+
+def test_manifest_config_block_built_once_per_run(dataset, tmp_path, monkeypatch):
+    calls = []
+    to_dict = ExperimentConfig.to_dict
+
+    def counted(self):
+        calls.append(1)
+        return to_dict(self)
+
+    monkeypatch.setattr(ExperimentConfig, "to_dict", counted)
+    config = small_config(dataset, tmp_path / "out")
+    run(config)
+    assert len(calls) == 2  # the digest's and the config block's, for all four flushes
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"] == to_dict(config)
+    assert manifest["config_digest"] == config.digest()
 
 
 def test_classifier_failure_stays_in_its_cell(dataset, tmp_path, monkeypatch):
