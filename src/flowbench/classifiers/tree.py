@@ -2,12 +2,11 @@
 
 Splits are enumerated exactly: candidate thresholds are the midpoints of
 consecutive distinct sorted values of each feature (see ``midpoint``), and
-ties break to the lowest feature index, then the lowest threshold. A
-candidate whose weighted Gini is NaN (a side's weight rounded to 0) is no
-split. The tree grows until nodes are pure or no candidate split reduces
-the weighted impurity. A threshold lies in [a, b) of the neighbours it
-separates, so a split sends left the rows of its feature's sorted order up
-to the cut and the rest right, and both children hold rows.
+ties break to the lowest feature index, then the lowest threshold. The
+tree grows until nodes are pure or no candidate split reduces the
+impurity. A threshold lies in [a, b) of the neighbours it separates, so a
+split sends left the rows of its feature's sorted order up to the cut and
+the rest right, and both children hold rows.
 
 A fit sorts each feature once (SLIQ, Mehta et al. 1996): numpy's fast
 sort, then each run of equal values back in row order (``_restore_ties``),
@@ -23,10 +22,10 @@ same Gini arithmetic, in blocks of about ``SEARCH_BLOCK`` (feature, row)
 entries, and give the same trees; nodes are numbered at the end as the
 depth-first fit numbers them.
 
-Without sample weights the sums are class counts: a node's totals come
-from its counts, the left side's weight is a row position and its class-1
-weight a running count; these whole numbers equal the sums of unit
-weights bit for bit.
+Every row weighs 1, so the sums are class counts: a node's totals come
+from its counts, the left side's size is a row position and its class-1
+count a running count. A cut's Gini is its sides' Gini weighted by their
+sizes; each side holds at least one row, so none is NaN.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix, row_weights
+from ..ingest import FeatureMatrix
 
 SEARCH_BLOCK = 1 << 12  # (feature, row) entries per block: bounds the search's temporaries
 SMALL = 64  # nodes of at most this many rows are searched together, a level at a time
@@ -126,43 +125,35 @@ def _restore_ties(order, values) -> None:
     np.remainder(keys, n, out=order)
 
 
-def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
+def _cut_gini(x, y1, block, features, bounds, total0, total1, total):
     """The weighted Gini of the cut after each entry of ``block``; inf where no cut is.
 
     ``block`` (f, m) holds nodes' rows sorted by each of ``features`` (f, 1),
     one node per column segment ``bounds[i]:bounds[i + 1]``. The totals are a
-    node's class-0, class-1 and total weight: scalars for one node, or one
-    entry per column. ``w`` None weighs every row 1. A NaN Gini (a side's
-    weight rounded to 0) stays NaN.
+    node's class-0, class-1 and total row counts: scalars for one node, or
+    one entry per column.
     """
-    # side[s, f, k] and cls[c, s, f, k]: the weight and the class-c weight on
-    # side s (left, right) of the cut after sorted position k; cls becomes
-    # p_c^2, then 1 - p0^2 - p1^2 times the side's weight in cls[0]. Every
-    # step is the per-feature scan's arithmetic, in its order, so that the
-    # result is bit-identical to it.
+    # side[s, f, k] and cls[c, s, f, k]: the rows and the class-c rows on side
+    # s (left, right) of the cut after sorted position k; cls becomes p_c^2,
+    # then 1 - p0^2 - p1^2 times the side's size in cls[0]. Every step is the
+    # per-feature scan's arithmetic, in its order, so that the result is
+    # bit-identical to it.
     buf = np.empty((6,) + block.shape)
     side, cls = buf[:2], buf[2:].reshape((2, 2) + block.shape)
-    if w is None:
-        # unit weights: the left weight is the row count, 1 + the position in
-        # the node, and the class-1 weight one count over the block less the
-        # count before the node; whole numbers, so equal to the sums of 1.0
-        np.add.accumulate(y1[block], axis=1, dtype=np.float64, out=cls[1, 0])
-        side[0] = np.arange(1.0, block.shape[1] + 1)
-        if len(bounds) > 2:
-            starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
-            side[0] -= np.repeat(starts, sizes)
-            before = cls[1, 0][:, starts[1:] - 1]
-            cls[1, 0][:, bounds[1]:] -= np.repeat(before, sizes[1:], axis=1)
-    else:
-        side[0] = w[block]
-        np.multiply(side[0], y1[block], out=cls[1, 0])
-        sums = buf[::4]  # side[0] and cls[1, 0]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):  # each node's sums start at 0
-            np.add.accumulate(sums[:, :, lo:hi], axis=2, out=sums[:, :, lo:hi])
+    # the left side's size is 1 + the position in the node, and its class-1
+    # count one count over the block less the count before the node; whole
+    # numbers, so equal to the sums of 1.0 per row
+    np.add.accumulate(y1[block], axis=1, dtype=np.float64, out=cls[1, 0])
+    side[0] = np.arange(1.0, block.shape[1] + 1)
+    if len(bounds) > 2:
+        starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+        side[0] -= np.repeat(starts, sizes)
+        before = cls[1, 0][:, starts[1:] - 1]
+        cls[1, 0][:, bounds[1]:] -= np.repeat(before, sizes[1:], axis=1)
     np.subtract(side[0], cls[1, 0], out=cls[0, 0])
-    np.subtract(total_w0, cls[0, 0], out=cls[0, 1])
-    np.subtract(total_w1, cls[1, 0], out=cls[1, 1])
-    np.subtract(total_w, side[0], out=side[1])
+    np.subtract(total0, cls[0, 0], out=cls[0, 1])
+    np.subtract(total1, cls[1, 0], out=cls[1, 1])
+    np.subtract(total, side[0], out=side[1])
     last = -1 if len(bounds) == 2 else [hi - 1 for hi in bounds[1:]]
     side[1][:, last] = 1.0  # nothing lies right of a node's last row: no cut there
     np.divide(cls, side, out=cls)
@@ -172,21 +163,14 @@ def _cut_gini(x, y1, w, block, features, bounds, total_w0, total_w1, total_w):
     np.subtract(g, cls[1], out=g)
     np.multiply(side, g, out=g)
     g = np.add(g[0], g[1], out=g[0])
-    np.divide(g, total_w, out=g)
+    np.divide(g, total, out=g)
     xs = x[block, features]
     g[:, :-1][xs[:, :-1] == xs[:, 1:]] = np.inf  # no threshold between equal values
     g[:, last] = np.inf
     return g
 
 
-def _totals(node_w, class1_w):
-    """A node's (class-0, class-1, total) weight from its row weights and its class-1 rows'."""
-    total_w = np.add.reduce(node_w)
-    total_w1 = float(np.add.reduce(class1_w))
-    return total_w - total_w1, total_w1, total_w
-
-
-def _search_node(x, y1, w, lists, counts):
+def _search_node(x, y1, lists, counts):
     """The best cut of one node, (feature, sorted position, weighted Gini), or None.
 
     ``lists`` holds the node's rows in the layout of ``presort`` and
@@ -194,42 +178,32 @@ def _search_node(x, y1, w, lists, counts):
     position k of feature f sends that feature's first k + 1 rows left.
     None when no cut strictly reduces the node's impurity.
     """
-    rows, order = lists[0], lists[1:]
-    if w is None:
-        totals = float(counts[0]), float(counts[1]), float(rows.size)
-    else:
-        node_w = w[rows]
-        totals = _totals(node_w, node_w[y1[rows]])
+    order = lists[1:]
     d, m = order.shape
+    totals = float(counts[0]), float(counts[1]), float(m)
     if m < 2 or d == 0:
         return None
     features = np.arange(d)[:, None]
     step = max(1, SEARCH_BLOCK // m)
     best = None
     for lo in range(0, d, step):
-        g = _cut_gini(x, y1, w, order[lo:lo + step], features[lo:lo + step], (0, m), *totals)
+        g = _cut_gini(x, y1, order[lo:lo + step], features[lo:lo + step], (0, m), *totals)
         f, k = divmod(int(g.argmin()), m)  # lowest feature, then lowest position
-        v = g[f, k]
-        if v != v:  # argmin stops at the first NaN; a NaN Gini is no split
-            g[np.isnan(g)] = np.inf
-            f, k = divmod(int(g.argmin()), m)
-            v = g[f, k]
-        if best is None or v < best[2]:
-            best = (lo + f, k, v)
-    if not best[2] < gini(*totals[:2]):  # nor is a NaN impurity (the weights overflowed) reduced
+        if best is None or g[f, k] < best[2]:
+            best = (lo + f, k, g[f, k])
+    if best[2] >= gini(*totals[:2]):
         return None
     return best
 
 
-def _search_pool(x, y1, w, lists, bounds, total_w0, total_w1, total_w):
+def _search_pool(x, y1, lists, bounds, total0, total1, total):
     """The best cut of each node laid side by side in ``lists``.
 
     Node i holds columns ``bounds[i]:bounds[i + 1]`` of ``lists`` (the layout
-    of ``presort``), and the totals hold one entry per column; ``w`` None
-    weighs every row 1. Returns the (weighted Gini, feature, sorted position)
-    arrays, one entry per node; the Gini is inf where a node has no cut.
-    The choice is ``_search_node``'s: NaN is no cut, then the lowest
-    feature, then the lowest position.
+    of ``presort``), and the totals hold one entry per column. Returns the
+    (weighted Gini, feature, sorted position) arrays, one entry per node;
+    the Gini is inf where a node has no cut. The choice is
+    ``_search_node``'s: the lowest feature, then the lowest position.
     """
     order = lists[1:]
     d = order.shape[0]
@@ -248,10 +222,9 @@ def _search_pool(x, y1, w, lists, bounds, total_w0, total_w1, total_w):
         m = hi - lo
         step = max(1, SEARCH_BLOCK // m)
         for f0 in range(0, d, step):
-            g = _cut_gini(x, y1, w, order[f0:f0 + step, lo:hi], features[f0:f0 + step], local,
-                          total_w0[lo:hi], total_w1[lo:hi], total_w[lo:hi])
-            # every node's last column is inf, so no node's minimum is NaN
-            per_feature = np.fmin.reduceat(g, starts, axis=1)
+            g = _cut_gini(x, y1, order[f0:f0 + step, lo:hi], features[f0:f0 + step], local,
+                          total0[lo:hi], total1[lo:hi], total[lo:hi])
+            per_feature = np.minimum.reduceat(g, starts, axis=1)
             v = per_feature.min(axis=0)
             f = (per_feature == v).argmax(axis=0)
             hit = np.flatnonzero(g[np.repeat(f, sizes), np.arange(m)] == np.repeat(v, sizes))
@@ -265,23 +238,21 @@ def _search_pool(x, y1, w, lists, bounds, total_w0, total_w1, total_w):
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def best_split(x, y, w, presorted=None):
+def best_split(x, y, presorted=None):
     """Exhaustive best (feature, threshold) by weighted Gini, or None.
 
-    ``x`` is (n, d), ``y`` holds the labels (class 1 where ``y == 1``) and
-    ``w`` the row weights (all 1 when None). ``presorted`` is the node's
-    rows in the layout of ``presort`` when the node holds only some rows;
-    without it the node is every row, sorted here.
+    ``x`` is (n, d) and ``y`` holds the labels (class 1 where ``y == 1``).
+    ``presorted`` is the node's rows in the layout of ``presort`` when the
+    node holds only some rows; without it the node is every row, sorted here.
 
     Returns (feature, threshold, weighted_gini); None when no candidate
     split exists or none strictly reduces the node impurity.
     """
     x = np.asarray(x, dtype=np.float64)
     y1 = np.asarray(y) == 1
-    w = None if w is None else np.asarray(w, dtype=np.float64)
     lists = presort(x) if presorted is None else presorted
     n1 = np.count_nonzero(y1[lists[0]])
-    found = _search_node(x, y1, w, lists, (lists.shape[1] - n1, n1))
+    found = _search_node(x, y1, lists, (lists.shape[1] - n1, n1))
     if found is None:
         return None
     feature, k, weighted = found
@@ -349,31 +320,26 @@ class _Nodes:
         )
 
 
-def dt_fit(train: FeatureMatrix, sample_weight=None) -> TreeModel:
-    """Grow a tree to purity (or until no split reduces weighted Gini).
-
-    ``sample_weight`` holds one positive, finite weight per row. Without it
-    every row weighs 1, and the search sums class counts instead of weights.
-    """
+def dt_fit(train: FeatureMatrix) -> TreeModel:
+    """Grow a tree to purity (or until no split reduces the Gini impurity)."""
     x = train.values
     y1 = train.labels == 1
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot fit a tree on an empty matrix")
-    w = None if sample_weight is None else row_weights(sample_weight, n, allow_zero=False)
 
     nodes = _Nodes()
     n1 = np.count_nonzero(y1)
     nodes.counts[0] = (n - n1, n1)
     if 0 < n1 < n and x.shape[1]:
         go_left = np.zeros(n, dtype=bool)
-        pool = _grow_large(x, y1, w, nodes, presort(x), go_left)
+        pool = _grow_large(x, y1, nodes, presort(x), go_left)
         if pool:
-            _grow_pool(x, y1, w, nodes, pool, go_left)
+            _grow_pool(x, y1, nodes, pool, go_left)
     return nodes.model()
 
 
-def _grow_large(x, y1, w, nodes, lists, go_left):
+def _grow_large(x, y1, nodes, lists, go_left):
     """Grow the mixed root, whose row lists are ``lists``, depth first.
 
     Each node of more than ``SMALL`` rows is searched alone. Returns the pool:
@@ -383,7 +349,7 @@ def _grow_large(x, y1, w, nodes, lists, go_left):
     (stack if lists.shape[1] > SMALL else pool).append((0, lists))
     while stack:
         node, lists = stack.pop()
-        found = _search_node(x, y1, w, lists, nodes.counts[node].tolist())
+        found = _search_node(x, y1, lists, nodes.counts[node].tolist())
         if found is None:
             continue
         f, k, _ = found
@@ -403,7 +369,7 @@ def _grow_large(x, y1, w, nodes, lists, go_left):
     return pool
 
 
-def _grow_pool(x, y1, w, nodes, pool, go_left):
+def _grow_pool(x, y1, nodes, pool, go_left):
     """Grow the mixed nodes of ``pool`` to the end, one level of all of them at a time.
 
     ``pool`` holds (node, row lists) pairs, the lists in the layout of
@@ -421,22 +387,11 @@ def _grow_pool(x, y1, w, nodes, pool, go_left):
         starts = ends - sizes
         n1 = nodes.counts[ids, 1]
         rows = lists[0]
-        y1_rows = y1[rows]
-        bounds = [0] + ends.tolist()
-        if w is None:
-            totals = np.array([sizes - n1, n1, sizes], dtype=np.float64)
-        else:
-            node_w = w[rows]
-            class1_w = node_w[y1_rows]
-            bounds1 = [0] + np.cumsum(n1).tolist()  # of the class-1 rows in row order
-            totals = np.array([_totals(node_w[lo:hi], class1_w[lo1:hi1]) for lo, hi, lo1, hi1
-                               in zip(bounds, bounds[1:], bounds1, bounds1[1:])]).T
-        w0, w1 = totals[:2]
-        total = w0 + w1
-        p0, p1 = w0 / total, w1 / total
-        parent = 1.0 - p0 * p0 - p1 * p1  # gini(w0, w1) of each node, none of them empty
+        totals = np.array([sizes - n1, n1, sizes], dtype=np.float64)
+        p0, p1 = totals[:2] / totals[2]
+        parent = 1.0 - p0 * p0 - p1 * p1  # gini(n0, n1) of each node, none of them empty
         weighted, feature, cut = _search_pool(
-            x, y1, w, lists, bounds, *np.repeat(totals, sizes, axis=1))
+            x, y1, lists, [0] + ends.tolist(), *np.repeat(totals, sizes, axis=1))
 
         split = weighted < parent
         parents, f, k = ids[split], feature[split], cut[split]
@@ -453,7 +408,7 @@ def _grow_pool(x, y1, w, nodes, pool, go_left):
         go_left[rows] = False
         go_left[lists[np.repeat(1 + feature, sizes), columns][to_left]] = True
         in_left = go_left[lists]
-        n1_left = np.add.reduceat(in_left[0] & y1_rows, starts, dtype=np.int64)[split]
+        n1_left = np.add.reduceat(in_left[0] & y1[rows], starts, dtype=np.int64)[split]
         child_ids = np.concatenate([left, left + 1])
         child_sizes = np.concatenate([k + 1, sizes[split] - k - 1])
         child_n1 = np.concatenate([n1_left, n1[split] - n1_left])

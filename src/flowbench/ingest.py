@@ -186,22 +186,21 @@ def real(name: str, value) -> float:
     return float(value)
 
 
-def row_weights(sample_weight, n_rows: int, *, allow_zero: bool = True) -> np.ndarray:
+def row_weights(sample_weight, n_rows: int) -> np.ndarray:
     """The float64 per-row weights of a fit on ``n_rows`` rows; all 1 when None.
 
     Fails unless ``sample_weight`` is shaped (n_rows,) and every weight is
-    finite and non-negative (positive when ``allow_zero`` is false).
+    finite and non-negative.
     """
     if sample_weight is None:
         return np.ones(n_rows)
     w = np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (n_rows,):
         raise ValueError(f"sample_weight has shape {w.shape}, expected ({n_rows},)")
-    bad = ~np.isfinite(w) | (w < 0 if allow_zero else w <= 0)
+    bad = ~np.isfinite(w) | (w < 0)
     if bad.any():
         i = int(np.argmax(bad))
-        kind = "finite and non-negative" if allow_zero else "finite and positive"
-        raise ValueError(f"sample_weight[{i}] = {float(w[i])!r} is not {kind}")
+        raise ValueError(f"sample_weight[{i}] = {float(w[i])!r} is not finite and non-negative")
     return w
 
 

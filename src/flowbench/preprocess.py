@@ -140,11 +140,41 @@ def stratified_kfold(m: FeatureMatrix, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
+def _quotas(cap: int, sizes: np.ndarray) -> np.ndarray:
+    """Rows kept per group: ``cap`` (below ``sizes.sum()``) shared out by largest remainder.
+
+    Every group keeps at least one row: a group whose share is under one row
+    keeps one, and the other groups share the remaining rows again. Ties go
+    to the earlier group. With at least as many groups as ``cap``, every
+    quota is 1; otherwise the quotas add up to ``cap``.
+    """
+    quotas = np.ones(sizes.size, dtype=np.int64)
+    if cap <= sizes.size:
+        return quotas
+    shared = np.ones(sizes.size, dtype=bool)  # the groups not held at one row
+    while True:
+        # group i's share is share[i] / total rows, in exact integers; the
+        # shares add up to more than one row per shared group, so one stays
+        rows = cap - np.count_nonzero(~shared)
+        share, total = rows * sizes[shared], sizes[shared].sum()
+        under = share < total
+        if not under.any():
+            break
+        shared[np.flatnonzero(shared)[under]] = False
+    base, remainder = np.divmod(share, total)
+    base[np.argsort(-remainder, kind="stable")[:rows - base.sum()]] += 1
+    quotas[shared] = base
+    return quotas
+
+
 def stratified_subsample(m: FeatureMatrix, cap: int, seed: int) -> FeatureMatrix:
     """Cap the row count, sampling within (label, attack_type) groups.
 
-    Group quotas are proportional with a floor of 1, so rare attack types
-    survive desk-scale subsampling.
+    The cap is shared out in proportion to the groups' sizes by largest
+    remainder, ties to the earlier group key, with a floor of one row, so
+    rare attack types survive desk-scale subsampling. The result holds
+    exactly ``cap`` rows, unless there are more groups than ``cap``: then
+    each group keeps one row.
     """
     if cap >= m.n_samples:
         return m
@@ -155,12 +185,9 @@ def stratified_subsample(m: FeatureMatrix, cap: int, seed: int) -> FeatureMatrix
         group_keys = np.array(
             [f"{l}:{t}" for l, t in zip(m.labels, m.attack_types)], dtype=object
         )
+    groups = [np.flatnonzero(group_keys == key) for key in sorted(set(group_keys.tolist()))]
     chosen = []
-    order = sorted(set(group_keys.tolist()))
-    for key in order:
-        idx = np.flatnonzero(group_keys == key)
-        quota = max(1, int(round(cap * idx.size / m.n_samples)))
-        quota = min(quota, idx.size)
+    for idx, quota in zip(groups, _quotas(cap, np.array([idx.size for idx in groups]))):
         rng.shuffle(idx)
         chosen.append(idx[:quota])
     picked = np.sort(np.concatenate(chosen))

@@ -23,6 +23,7 @@ making results independent of scheduling and of which cells already ran.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -557,8 +558,10 @@ def write_outputs(out_dir, config: ExperimentConfig, completed: dict,
 
     Writes results.csv, the plot-ready AUC-vs-dimensions ``sweeps/``,
     best_per_model.csv and summary.txt, which also lists the ``dropped``
-    groups; returns the result records in group-plan order: fe and model
-    as configured, dims ascending.
+    groups and the PCA dims that reach each of ``VARIANCE_SHARES`` of the
+    total variance, from ``variance/<dataset>_pca.csv`` when it exists;
+    returns the result records in group-plan order: fe and model as
+    configured, dims ascending.
     """
     def rank(cell_id):
         fe, dims, model = cell_id.split(":")
@@ -580,9 +583,31 @@ def write_outputs(out_dir, config: ExperimentConfig, completed: dict,
                   ([r[col] for col in SWEEP_COLUMNS] for r in rows))
     write_csv(out_dir / "best_per_model.csv", BEST_COLUMNS,
               ([r[col] for col in BEST_COLUMNS] for r in best_per_model(records)))
-    summary = render_summary(records, best_per_attack(records, completed), dropped)
+    summary = render_summary(records, best_per_attack(records, completed), dropped,
+                             pca_dims_reaching(out_dir / "variance" / f"{config.schema_name}_pca.csv"))
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     return records
+
+
+VARIANCE_SHARES = (0.90, 0.95)
+
+
+def pca_dims_reaching(path: Path) -> list[tuple[float, int | None]] | None:
+    """(share, smallest dims whose ``cumulative_fraction`` reaches it) per ``VARIANCE_SHARES``.
+
+    Reads a ``variance/*_pca.csv``; dims is None where no dims reach the
+    share. None when the file or its ``cumulative_fraction`` column is absent.
+    """
+    if not path.exists():
+        return None
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "cumulative_fraction" not in (reader.fieldnames or ()):
+            return None
+        cumulative = np.array([float(row["cumulative_fraction"]) for row in reader])
+    # cumulative is non-decreasing: the first entry reaching a share is its dims - 1
+    found = np.searchsorted(cumulative, VARIANCE_SHARES).tolist()
+    return [(share, i + 1 if i < cumulative.size else None) for share, i in zip(VARIANCE_SHARES, found)]
 
 
 def _pct(x) -> str:
@@ -590,7 +615,7 @@ def _pct(x) -> str:
 
 
 def render_summary(records: list[dict], per_attack: dict | None,
-                   dropped: list[dict]) -> str:
+                   dropped: list[dict], pca_dims: list[tuple[float, int | None]] | None) -> str:
     """Text tables mirroring the benchmark's reporting format."""
     lines = []
     best = best_per_model(records)
@@ -604,6 +629,11 @@ def render_summary(records: list[dict], per_attack: dict | None,
             f"{r['model']:<5} {r['fe']:<5} {r['dims']:>4} {_pct(r['acc']):>8} "
             f"{r['f1']:>6.2f} {_pct(r['dr']):>8} {_pct(r['far']):>8} {r['auc']:>7.4f}"
         )
+    if pca_dims:
+        lines.append("")
+        lines.append("PCA dims reaching a share of the total variance (all rows)")
+        for share, dims in pca_dims:
+            lines.append(f"  {share:.0%}: " + (f"{dims} dims" if dims is not None else "not reached"))
     failures = [r for r in records if r["status"] != "ok"]
     if failures:
         lines.append("")

@@ -177,7 +177,7 @@ def test_criterion_7_cart_exactness():
         else:
             x = np.round(rng.normal(size=(n, d)), 1)
         y = rng.integers(0, 2, n)
-        got = best_split(x, y, None)
+        got = best_split(x, y)
         want = exhaustive_best_split(x, y)
         if (got is None) != (want is None):
             agree = False

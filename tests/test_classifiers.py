@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.classifiers import (
-    ClassifierSpec, cnn_layers, conv_output_lengths, dff_layers, dt_fit, dt_score,
+    DEEP_KINDS, ClassifierSpec, cnn_layers, conv_output_lengths, dff_layers, dt_fit, dt_score,
     fit_classifier, fit_predict, gnb_fit, gnb_score, lr_fit, lr_score, rnn_layers,
 )
 from flowbench.classifiers import logistic, tree
@@ -14,14 +14,14 @@ from flowbench.extract import (
     ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
 )
 from flowbench.ingest import FeatureMatrix
-from flowbench.nn import TrainConfig, build_network, parameter_count
+from flowbench.nn import TrainConfig, build_network, parameter_count, train
 from flowbench.persist import load_model, save_model
-from flowbench.preprocess import ClassWeights
+from flowbench.preprocess import class_weights
 
 import lr_reference
 from helpers import blobs
 from lr_reference import reference_lr_fit
-from tree_reference import reference_best_split, reference_candidates, reference_dt_fit
+from tree_reference import reference_best_split, reference_dt_fit
 
 
 def matrix(values, labels):
@@ -87,10 +87,6 @@ class TestBuilders:
                 layers(0)
         with pytest.raises(ValueError):
             ClassifierSpec(kind="svm")
-
-
-def want_parent(y, w):
-    return gini(w[y == 0].sum(), w[y == 1].sum())
 
 
 def exhaustive_best_split(x, y, w=None):
@@ -163,7 +159,7 @@ class TestDecisionTree:
             # small integer grid makes ties common
             x = rng.integers(0, 4, size=(n, d)).astype(float)
             y = rng.integers(0, 2, n)
-            got = best_split(x, y, None)
+            got = best_split(x, y)
             want = exhaustive_best_split(x, y)
             if want is None:
                 assert got is None
@@ -171,25 +167,6 @@ class TestDecisionTree:
                 assert got is not None
                 assert got[0] == want[0]
                 assert got[1] == want[1]
-                assert abs(got[2] - want[2]) < 1e-12
-
-    def test_oracle_agreement_with_weights(self):
-        # float sample weights accumulate differently under cumsum vs direct
-        # sums, so ties can resolve either way; the achieved impurity must
-        # still match the exhaustive minimum
-        rng = np.random.default_rng(2)
-        for trial in range(100):
-            n = int(rng.integers(3, 13))
-            d = int(rng.integers(1, 4))
-            x = rng.integers(0, 3, size=(n, d)).astype(float)
-            y = rng.integers(0, 2, n)
-            w = rng.uniform(0.5, 2.0, n)
-            got = best_split(x, y, w)
-            want = exhaustive_best_split(x, y, w)
-            if want is None:
-                assert got is None or abs(got[2] - want_parent(y, w)) < 1e-12
-            else:
-                assert got is not None
                 assert abs(got[2] - want[2]) < 1e-12
 
     def test_every_split_reduces_weighted_gini(self):
@@ -255,7 +232,7 @@ GROWTH_SMALL = [1, 8, 64, 10**9]
 
 @st.composite
 def tree_inputs(draw):
-    """A small matrix with many ties, maybe constant columns, one class or two, and weights."""
+    """A small matrix with many ties, maybe constant columns, one class or two."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 60))
     d = draw(st.integers(1, 5))
@@ -265,14 +242,7 @@ def tree_inputs(draw):
         y = rng.integers(0, 2, n)
     else:
         y = np.full(n, draw(st.integers(0, 1)))
-    weighting = draw(st.sampled_from(["none", "class", "row"]))
-    if weighting == "none":
-        w = None
-    elif weighting == "class":
-        w = np.where(y == 1, rng.uniform(0.5, 20.0), rng.uniform(0.5, 2.0))
-    else:
-        w = rng.uniform(0.01, 10.0, n)
-    return (matrix(x, y), w, draw(st.sampled_from([1, 7, tree.SEARCH_BLOCK])),
+    return (matrix(x, y), draw(st.sampled_from([1, 7, tree.SEARCH_BLOCK])),
             draw(st.sampled_from(GROWTH_SMALL)))
 
 
@@ -288,81 +258,52 @@ class TestPresortedTree:
     @settings(max_examples=300, deadline=None)
     @given(tree_inputs())
     def test_matches_reference(self, case):
-        fm, w, block, small = case
+        fm, block, small = case
         saved = tree.SEARCH_BLOCK, tree.SMALL
         tree.SEARCH_BLOCK, tree.SMALL = block, small  # 1 and 7 split the search into many blocks
         try:
-            got = dt_fit(fm, w)
+            got = dt_fit(fm)
         finally:
             tree.SEARCH_BLOCK, tree.SMALL = saved
-        assert_same_tree(got, reference_dt_fit(fm, w))
+        assert_same_tree(got, reference_dt_fit(fm))
 
     @staticmethod
-    def assert_every_growth_matches(monkeypatch, fm, w):
-        """An unweighted fit (w None) must also equal the fit with unit weights."""
-        want = reference_dt_fit(fm, w)
+    def assert_every_growth_matches(monkeypatch, fm):
+        want = reference_dt_fit(fm)
         for small in (1, 64, 10**9):
             for block in (1, 7, tree.SEARCH_BLOCK):
                 monkeypatch.setattr(tree, "SMALL", small)
                 monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
-                assert_same_tree(dt_fit(fm, w), want)
-                if w is None:
-                    assert_same_tree(dt_fit(fm, np.ones(fm.n_samples)), want)
+                assert_same_tree(dt_fit(fm), want)
         return want
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_reference_on_overlapping_blobs(self, monkeypatch, weighted):
+    def test_matches_reference_on_overlapping_blobs(self, monkeypatch):
         fm = blobs(n0=700, n1=120, d=6, separation=1.0, seed=11)
         fm = matrix(np.round(fm.values, 2), fm.labels)
-        w = ClassWeights(w0=0.59, w1=3.42).per_sample(fm.labels) if weighted else None
-        want = self.assert_every_growth_matches(monkeypatch, fm, w)
+        want = self.assert_every_growth_matches(monkeypatch, fm)
         assert len(want.feature) > 50
 
-    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_reference_on_a_deep_noise_chain(self, monkeypatch, d, weighted):
+    def test_matches_reference_on_a_deep_noise_chain(self, monkeypatch, d):
         # labels independent of one or two coarse features: the tree is a long
         # chain of large nodes with many small nodes hanging off it
         rng = np.random.default_rng(23 + d)
         x = np.round(rng.normal(size=(1500, d)), 2)
         y = (rng.random(1500) < 0.3).astype(int)
-        w = rng.uniform(0.2, 5.0, 1500) if weighted else None
-        want = self.assert_every_growth_matches(monkeypatch, matrix(x, y), w)
+        want = self.assert_every_growth_matches(monkeypatch, matrix(x, y))
         assert want.depth() > 20 and (want.counts.sum(axis=1) <= tree.SMALL).sum() > 200
-
-    @pytest.mark.parametrize("block", [1, tree.SEARCH_BLOCK])
-    def test_matches_reference_where_weights_swamp_the_sums(self, monkeypatch, block):
-        # with weights 1e17 and 1, a side's weight can round to 0 and its Gini
-        # to NaN; such a candidate is no split, wherever it lies in the search
-        monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
-        rng = np.random.default_rng(13)
-        nan_nodes = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(400):
-                n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
-                x = rng.integers(0, 3, size=(n, d)).astype(float)
-                y = rng.integers(0, 2, n)
-                w = np.where(rng.random(n) < 0.4, 1e17, 1.0)
-                want = reference_best_split(x, y, w)
-                got = best_split(x, y, w)
-                assert repr(got) == repr(want)
-                assert got is None or not np.isnan(got[2])
-                nan_nodes += any(np.isnan(reference_candidates(x, y, w, f)[2]).any()
-                                 for f in range(d))
-                assert_same_tree(dt_fit(matrix(x, y), w), reference_dt_fit(matrix(x, y), w))
-        assert nan_nodes > 0
 
     def test_each_mixed_node_searched_once(self, monkeypatch):
         alone, pooled = [], []
         search_node, search_pool = tree._search_node, tree._search_pool
 
         def count_node(*args):
-            alone.append(args[3].shape[1])
+            alone.append(args[2].shape[1])
             return search_node(*args)
 
-        def count_pool(x, y1, w, lists, bounds, *totals):
+        def count_pool(x, y1, lists, bounds, *totals):
             pooled.extend(np.diff(bounds).tolist())
-            return search_pool(x, y1, w, lists, bounds, *totals)
+            return search_pool(x, y1, lists, bounds, *totals)
 
         monkeypatch.setattr(tree, "_search_node", count_node)
         monkeypatch.setattr(tree, "_search_pool", count_pool)
@@ -380,10 +321,9 @@ class TestPresortedTree:
     @settings(max_examples=150, deadline=None)
     @given(tree_inputs())
     def test_unweighted_fit_matches_unit_weights(self, case):
-        # without weights the search sums class counts; with unit weights it
-        # sums 1.0 per row: both must give the reference's tree
-        fm, _, _, _ = case
-        ones = np.ones(fm.n_samples)
+        # the search sums class counts, the reference sums 1.0 per row: every
+        # growth must give the reference's tree
+        fm, _, _ = case
         want = reference_dt_fit(fm)
         saved = tree.SEARCH_BLOCK, tree.SMALL
         try:
@@ -391,20 +331,18 @@ class TestPresortedTree:
                 for block in (1, 7, saved[0]):
                     tree.SEARCH_BLOCK, tree.SMALL = block, small
                     assert_same_tree(dt_fit(fm), want)
-                    assert_same_tree(dt_fit(fm, ones), want)
         finally:
             tree.SEARCH_BLOCK, tree.SMALL = saved
         x, y = fm.values, fm.labels
-        assert repr(best_split(x, y, None)) == repr(best_split(x, y, ones)) \
-            == repr(reference_best_split(x, y, None))
+        assert repr(best_split(x, y)) == repr(reference_best_split(x, y, None))
 
     def test_public_best_split_sorts_itself(self):
         x = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
         y = np.array([1, 0, 1, 0])
-        assert best_split(x, y, None) == (0, 1.5, 0.0)
+        assert best_split(x, y) == (0, 1.5, 0.0)
         lists = tree.presort(x)
         assert lists.tolist() == [[0, 1, 2, 3], [3, 1, 2, 0], [2, 3, 0, 1]]
-        assert best_split(x, y, np.ones(4), lists) == (0, 1.5, 0.0)
+        assert best_split(x, y, lists) == (0, 1.5, 0.0)
 
 
 @st.composite
@@ -462,8 +400,7 @@ class TestTreeSort:
         x = np.array([[np.nan, 0.0], [1.0, -0.0], [np.nan, 0.0], [0.0, 1.0], [-0.0, -0.0]])
         y = np.array([0, 1, 1, 0, 1])
         assert tree.presort(x).tolist() == [[0, 1, 2, 3, 4], [3, 4, 1, 0, 2], [0, 1, 2, 4, 3]]
-        for w in (None, np.ones(5), np.arange(1.0, 6.0)):
-            assert repr(best_split(x, y, w)) == repr(reference_best_split(x, y, w))
+        assert repr(best_split(x, y)) == repr(reference_best_split(x, y, None))
 
 
 class TestTreeProgress:
@@ -478,7 +415,7 @@ class TestTreeProgress:
     ], ids=["adjacent", "near-max", "full-range", "subnormal"])
     def test_fit_ends_on_hard_neighbours(self, a, b, threshold):
         fm = matrix([[a], [b], [a]], [0, 1, 0])
-        assert best_split(fm.values, fm.labels, None) == (0, threshold, 0.0)
+        assert best_split(fm.values, fm.labels) == (0, threshold, 0.0)
         model = dt_fit(fm)
         assert_same_tree(model, reference_dt_fit(fm))
         assert model.threshold[0] == threshold
@@ -488,7 +425,7 @@ class TestTreeProgress:
     def test_fit_ends_on_constant_columns(self):
         x = np.full((6, 2), 3.0)
         fm = matrix(x, [0, 1, 0, 1, 1, 0])
-        assert best_split(x, fm.labels, None) is None
+        assert best_split(x, fm.labels) is None
         model = dt_fit(fm)
         assert model.feature.tolist() == [-1] and model.counts.tolist() == [[3, 3]]
         x = np.column_stack([x[:, 0], [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
@@ -496,33 +433,6 @@ class TestTreeProgress:
         assert model.feature.tolist() == [1, -1, -1] and model.threshold[0] == 0.5
         no_features = matrix(np.zeros((6, 0)), fm.labels)
         assert_same_tree(dt_fit(no_features), reference_dt_fit(no_features))
-
-    @pytest.mark.parametrize("n", [4, 100])  # a pooled root, a root searched alone
-    def test_fit_ends_when_the_total_weight_overflows(self, n):
-        # the root's impurity is NaN, which no cut reduces
-        fm = matrix(np.arange(n, dtype=float), np.arange(n) % 2)
-        with np.errstate(all="ignore"):
-            model = dt_fit(fm, np.full(n, 1e308))
-        assert model.feature.tolist() == [-1] and model.counts.tolist() == [[n // 2, n // 2]]
-
-
-@pytest.mark.parametrize("fit", [dt_fit, lr_fit], ids=["dt", "lr"])
-@pytest.mark.parametrize("weights", [
-    np.ones(25), np.ones((20, 1)), np.full(20, -1.0),
-    np.r_[np.ones(19), np.nan], np.r_[np.ones(19), np.inf],
-], ids=["too-long", "column", "negative", "nan", "inf"])
-def test_bad_sample_weight_rejected(fit, weights):
-    fm = blobs(n0=10, n1=10, d=2, seed=12)
-    with pytest.raises(ValueError, match="sample_weight"):
-        fit(fm, sample_weight=weights)
-
-
-def test_zero_sample_weight_rejected_by_tree_only():
-    fm = blobs(n0=10, n1=10, d=2, seed=12)
-    w = np.r_[0.0, np.ones(19)]
-    with pytest.raises(ValueError, match=r"sample_weight\[0\] = 0.0 is not finite and positive"):
-        dt_fit(fm, sample_weight=w)
-    assert np.isfinite(lr_fit(fm, sample_weight=w).weights).all()
 
 
 class TestLogisticRegression:
@@ -549,7 +459,7 @@ class TestLogisticRegression:
         assert model.converged
         theta = np.append(model.weights, model.bias)
         y_pm = 2.0 * fm.labels - 1.0
-        _, grad = _loss_grad(theta, fm.values, y_pm, np.ones(fm.n_samples), model.C)
+        _, grad = _loss_grad(theta, fm.values, y_pm, model.C)
         assert np.abs(grad).max() <= 1e-4
 
     def test_final_loss_beats_origin(self):
@@ -558,9 +468,8 @@ class TestLogisticRegression:
             model = lr_fit(fm)
             theta = np.append(model.weights, model.bias)
             y_pm = 2.0 * fm.labels - 1.0
-            sw = np.ones(fm.n_samples)
-            loss_fit, _ = _loss_grad(theta, fm.values, y_pm, sw, model.C)
-            loss_origin, _ = _loss_grad(np.zeros_like(theta), fm.values, y_pm, sw, model.C)
+            loss_fit, _ = _loss_grad(theta, fm.values, y_pm, model.C)
+            loss_origin, _ = _loss_grad(np.zeros_like(theta), fm.values, y_pm, model.C)
             assert loss_fit <= loss_origin
 
     def test_iteration_cap(self, monkeypatch):
@@ -569,70 +478,69 @@ class TestLogisticRegression:
         model = lr_fit(fm)
         assert model.iterations_used <= 2
 
-    def test_class_weights_shift_boundary(self):
-        fm = blobs(n0=180, n1=20, d=1, separation=2.0, seed=8)
-        plain = lr_fit(fm)
-        weighted = lr_fit(fm, sample_weight=ClassWeights(w0=0.555, w1=5.0).per_sample(fm.labels))
-        # upweighting the minority class detects more of it
-        assert (lr_score(weighted, fm) >= 0.5).sum() >= (lr_score(plain, fm) >= 0.5).sum()
 
-
-def _lr_loss(model, fm, sw):
+def _lr_loss(model, fm):
     theta = np.append(model.weights, model.bias)
-    sw = np.ones(fm.n_samples) if sw is None else sw
-    return _loss_grad(theta, fm.values, 2.0 * fm.labels - 1.0, sw, model.C)[0]
+    return _loss_grad(theta, fm.values, 2.0 * fm.labels - 1.0, model.C)[0]
 
 
-def _skewed_blobs(weighted, seed):
-    fm = blobs(n0=300, n1=60, d=6, separation=1.0, seed=seed)
-    return fm, (ClassWeights(w0=0.6, w1=3.0).per_sample(fm.labels) if weighted else None)
+def _skewed_blobs(form, seed):
+    """Imbalanced blobs, as drawn ("plain") or min-max scaled as a sweep feeds them ("scaled")."""
+    return blobs(n0=300, n1=60, d=6, separation=1.0, seed=seed, scale01=form == "scaled")
+
+
+def _reference_loss_grad(theta, x, y_pm, sw, C):
+    """The loss as ``lr_reference`` calls it, with its unit row weights."""
+    assert (sw == 1.0).all()
+    return _loss_grad(theta, x, y_pm, C)
 
 
 class TestNewtonAgainstReference:
     """The Newton fit against the L-BFGS fit in tests/lr_reference.py."""
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.fixture(autouse=True)
+    def _unweighted_reference(self, monkeypatch):
+        monkeypatch.setattr(lr_reference, "_loss_grad", _reference_loss_grad)
+
+    @pytest.mark.parametrize("form", ["plain", "scaled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_minimizer(self, monkeypatch, weighted, seed):
+    def test_same_minimizer(self, monkeypatch, form, seed):
         # At TOL = 1e-4 each solver stops up to about 5e-5 from the minimizer,
         # so both are driven closer; below about 1e-7 the loss's rounding
         # hides the Armijo decrease and neither can get there.
         monkeypatch.setattr(logistic, "TOL", 1e-6)
         monkeypatch.setattr(lr_reference, "TOL", 1e-6)
-        fm, sw = _skewed_blobs(weighted, seed)
-        got, want = lr_fit(fm, sw), reference_lr_fit(fm, sw)
+        fm = _skewed_blobs(form, seed)
+        got, want = lr_fit(fm), reference_lr_fit(fm)
         assert got.converged and want.converged
         np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-6)
         assert abs(got.bias - want.bias) <= 1e-6
-        loss_want = _lr_loss(want, fm, sw)
-        assert _lr_loss(got, fm, sw) <= loss_want * (1 + 1e-12)
+        assert _lr_loss(got, fm) <= _lr_loss(want, fm) * (1 + 1e-12)
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("form", ["plain", "scaled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_few_iterations(self, weighted, seed):
-        fm, sw = _skewed_blobs(weighted, seed)
-        got = lr_fit(fm, sw)
+    def test_few_iterations(self, form, seed):
+        fm = _skewed_blobs(form, seed)
+        got = lr_fit(fm)
         assert got.converged and got.iterations_used <= 10
         # within the stop test's reach of the reference's answer
-        want = reference_lr_fit(fm, sw)
+        want = reference_lr_fit(fm)
         np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-4)
 
     @pytest.mark.parametrize("case", ["separable_1e3", "zero_column", "identical_columns",
-                                      "no_features", "zero_weights"])
+                                      "no_features"])
     def test_degenerate_inputs_converge(self, case):
         fm = blobs(n0=70, n1=30, d=3, seed=9)
-        x, sw = fm.values.copy(), None
+        x = fm.values.copy()
         if case == "separable_1e3":
             x = np.where(fm.labels[:, None] == 1, 1.0, -1.0) * (1.0 + np.abs(x)) * 1e3
         elif case == "zero_column":
             x[:, 1] = 0.0
         elif case == "identical_columns":
             x[:, 2] = x[:, 0]
-        elif case == "no_features":
-            x = np.empty((fm.n_samples, 0))
         else:
-            sw = np.zeros(fm.n_samples)
-        model = lr_fit(matrix(x, fm.labels), sw)
+            x = np.empty((fm.n_samples, 0))
+        model = lr_fit(matrix(x, fm.labels))
         assert model.converged
         assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
 
@@ -648,8 +556,8 @@ class TestNewtonAgainstReference:
         model = lr_fit(fm)
         assert calls and all(shape == (4, 4) for shape in calls)
         assert model.iterations_used == len(calls)
-        origin, _ = _loss_grad(np.zeros(4), fm.values, 2.0 * fm.labels - 1.0, np.ones(80), logistic.C)
-        assert _lr_loss(model, fm, None) < origin
+        origin, _ = _loss_grad(np.zeros(4), fm.values, 2.0 * fm.labels - 1.0, logistic.C)
+        assert _lr_loss(model, fm) < origin
 
 
 class TestGaussianNb:
@@ -767,6 +675,34 @@ class TestFitPredict:
             np.testing.assert_array_equal(
                 fitted.predict_proba(train), loaded.predict_proba(train)
             )
+
+
+def model_bytes(model):
+    """Every field of a fitted model, each array as (dtype, shape, bytes)."""
+    return {name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for name, v in vars(model).items()}
+
+
+class TestClassWeightPolicy:
+    """``fit_classifier`` weights each row by its class for the deep kinds only."""
+
+    @pytest.fixture(scope="class")
+    def fold(self):
+        return blobs(n0=90, n1=15, d=6, separation=1.0, seed=26, scale01=True)
+
+    @pytest.mark.parametrize("kind", DEEP_KINDS)
+    def test_deep_kinds_train_on_class_weights(self, fold, kind):
+        spec, cfg = ClassifierSpec(kind), TrainConfig(epochs=2, batch_size=32, seed=3)
+        got = fit_classifier(spec, fold, cfg).model.flat.tobytes()
+        weights = class_weights(fold.labels).per_sample(fold.labels)
+        weighted, _ = train(spec.layers(fold.n_features), fold, cfg, weights)
+        unweighted, _ = train(spec.layers(fold.n_features), fold, cfg)
+        assert got == weighted.flat.tobytes()
+        assert got != unweighted.flat.tobytes()
+
+    @pytest.mark.parametrize("kind, fit", [("dt", dt_fit), ("lr", lr_fit), ("nb", gnb_fit)])
+    def test_shallow_kinds_fit_unweighted(self, fold, kind, fit):
+        assert model_bytes(fit_classifier(ClassifierSpec(kind), fold).model) == model_bytes(fit(fold))
 
 
 WIDTH_CHECKED = {

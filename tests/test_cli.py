@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from flowbench.cli import main
+from flowbench.ingest import write_csv
 from flowbench.runner import CONFIG_VERSION, best_per_model, read_manifest
 
 
@@ -90,6 +91,24 @@ def test_report_recreates_every_table(synth_csv, tmp_path):
     shutil.rmtree(out_dir / "sweeps")
     assert main(["report", "--in", str(out_dir)]) == 0
     assert {name: (out_dir / name).read_bytes() for name in DERIVED} == written
+
+
+def test_report_renders_the_pca_variance_dims(synth_csv, tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", _run_config(synth_csv, tmp_path, out_dir)]) == 0
+    variance = out_dir / "variance" / "synthetic_pca.csv"
+    # a hand-written report: 90% is reached at 2 dims, 95% at 3
+    write_csv(variance, ["dimension_index", "variance", "cumulative_fraction"],
+              [(0, 0.5, 0.5), (1, 0.4, 0.9), (2, 0.06, 0.96), (3, 0.04, 1.0)])
+    results = (out_dir / "results.csv").read_bytes()
+    assert main(["report", "--in", str(out_dir)]) == 0
+    summary = (out_dir / "summary.txt").read_text()
+    assert ("\n\nPCA dims reaching a share of the total variance (all rows)\n"
+            "  90%: 2 dims\n  95%: 3 dims\n\n") in summary
+    assert (out_dir / "results.csv").read_bytes() == results
+    variance.unlink()
+    assert main(["report", "--in", str(out_dir)]) == 0
+    assert "PCA dims" not in (out_dir / "summary.txt").read_text()
 
 
 def test_report_on_interrupted_run(synth_csv, tmp_path, monkeypatch):

@@ -163,7 +163,27 @@ class TestClassWeights:
         assert abs(total - (n0 + n1)) <= np.spacing(float(n0 + n1)) * 4
 
 
+def typed_matrix(sizes, seed=0):
+    """A matrix of one benign group and then one attack group per further size."""
+    types = np.concatenate([np.full(size, f"t{i}", dtype=object) for i, size in enumerate(sizes)])
+    labels = np.array([0] * sizes[0] + [1] * (len(types) - sizes[0]))
+    values = np.random.default_rng(seed).normal(size=(len(types), 2))
+    return FeatureMatrix(values=values, feature_names=["f0", "f1"], labels=labels,
+                         attack_types=types)
+
+
+def group_counts(m):
+    keys, counts = np.unique(m.attack_types.astype(str), return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
 class TestSubsample:
+    # each class's rows: the cap shared out by largest remainder, at least one;
+    # equal remainders give the extra row to the earlier key, class 0
+    CLASS_QUOTAS = {(900, 100, 100): (90, 10), (995, 5, 50): (49, 1), (30, 10, 39): (29, 10),
+                    (10, 10, 3): (2, 1), (10, 10, 7): (4, 3), (10, 10, 11): (6, 5),
+                    (10, 10, 19): (10, 9)}
+
     def test_cap_respected_and_groups_survive(self):
         fm = blobs(900, 100, seed=0)
         types = np.array(["benign"] * 900 + ["dos"] * 60 + ["rare" ] * 40, dtype=object)
@@ -171,18 +191,37 @@ class TestSubsample:
                            labels=np.array([0] * 900 + [1] * 100),
                            attack_types=types)
         out = stratified_subsample(fm, 100, seed=1)
-        assert out.n_samples <= 110
+        assert out.n_samples == 100
         kinds = set(out.attack_types[out.labels == 1])
         assert {"dos", "rare"} <= kinds
 
-    @pytest.mark.parametrize("n0, n1, cap", [(900, 100, 100), (995, 5, 50), (30, 10, 39)])
+    @pytest.mark.parametrize("n0, n1, cap", list(CLASS_QUOTAS))
     def test_class_quotas_without_attack_types(self, n0, n1, cap):
         fm = blobs(n0, n1, seed=0)
         assert fm.attack_types is None
         out = stratified_subsample(fm, cap, seed=2)
-        for cls, n_c in ((0, n0), (1, n1)):
-            expected = min(n_c, max(1, round(cap * n_c / (n0 + n1))))
-            assert (out.labels == cls).sum() == expected
+        counts = tuple(int((out.labels == cls).sum()) for cls in (0, 1))
+        assert counts == self.CLASS_QUOTAS[n0, n1, cap]
+
+    @pytest.mark.parametrize("sizes, cap, want", [
+        ([10, 10, 10], 29, [10, 10, 9]),
+        ([990, 5, 5], 10, [8, 1, 1]),  # t1 and t2 have shares of 0.25 rows: t0 shares the other 8
+        ([5, 5, 5, 5], 3, [1, 1, 1, 1]),  # more groups than the cap: one row each
+    ])
+    def test_attack_type_quotas(self, sizes, cap, want):
+        out = stratified_subsample(typed_matrix(sizes), cap, seed=4)
+        assert group_counts(out) == {f"t{i}": n for i, n in enumerate(want)}
+
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quotas_fill_the_cap_within_each_group(self, sizes, data):
+        m = typed_matrix(sizes)
+        cap = data.draw(st.integers(1, m.n_samples))
+        out = stratified_subsample(m, cap, seed=7)
+        counts = group_counts(out)
+        assert len(counts) == len(sizes)
+        assert all(1 <= counts[f"t{i}"] <= size for i, size in enumerate(sizes))
+        assert out.n_samples == min(m.n_samples, max(cap, len(sizes)))
 
     def test_noop_when_under_cap(self):
         fm = blobs(20, 20, seed=0)

@@ -19,7 +19,8 @@ from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
     DEFAULT_DIMENSIONS, RESULT_COLUMNS, ExperimentConfig, ResultRecord, best_overall,
-    best_per_model, derive_seed, load_dataset, read_manifest, run, write_outputs,
+    best_per_model, derive_seed, load_dataset, pca_dims_reaching, read_manifest, run,
+    write_outputs,
 )
 from flowbench.preprocess import stratified_kfold
 from flowbench.schema import get_schema, schema_to_file
@@ -435,7 +436,7 @@ class TestRun:
     def test_subsample_cap(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "out", subsample=120)
         fm = load_dataset(config)
-        assert fm.n_samples <= 132
+        assert fm.n_samples == 120
 
     def test_parallel_jobs_match_sequential(self, dataset, tmp_path):
         seq = small_config(dataset, tmp_path / "seq")
@@ -470,6 +471,39 @@ class TestRun:
         records = run(small_config(dataset, tmp_path / "out"), jobs=64)
         assert pools == [4]  # full, pca 2, pca 3 and lda
         assert all(r["status"] == "ok" for r in records)
+
+
+class TestVarianceDims:
+    """summary.txt names the PCA dims that reach 90% and 95% of the total variance."""
+
+    def test_run_summary_lists_the_dims_of_its_variance_report(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        run(small_config(dataset, out))
+        rows = read_csv(out / "variance" / "synthetic_pca.csv")
+        assert rows[0][2] == "cumulative_fraction"
+        cumulative = [float(row[2]) for row in rows[1:]]
+        want = [next(k + 1 for k, c in enumerate(cumulative) if c >= share) for share in (0.9, 0.95)]
+        assert 1 < want[0] < want[1] < len(cumulative)
+        assert ("PCA dims reaching a share of the total variance (all rows)\n"
+                f"  90%: {want[0]} dims\n  95%: {want[1]} dims\n") in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("cumulative, want", [
+        ([0.5, 0.9, 0.96, 1.0], [2, 3]),  # a share is reached where the fraction equals it
+        ([0.93, 0.97, 1.0], [1, 2]),
+        ([0.91, 1.0], [1, 2]),
+        ([0.0, 0.0], [None, None]),  # no variance at all
+    ])
+    def test_smallest_dims_reaching_each_share(self, tmp_path, cumulative, want):
+        path = tmp_path / "synthetic_pca.csv"
+        write_csv(path, ["dimension_index", "variance", "cumulative_fraction"],
+                  [(k, 0.0, c) for k, c in enumerate(cumulative)])
+        assert pca_dims_reaching(path) == list(zip((0.9, 0.95), want))
+
+    def test_no_dims_without_a_cumulative_fraction(self, tmp_path):
+        path = tmp_path / "synthetic_pca.csv"
+        assert pca_dims_reaching(path) is None
+        write_csv(path, ["dimension_index", "variance"], [(0, 1.0), (1, 0.5)])
+        assert pca_dims_reaching(path) is None
 
 
 class TestSharedFits:
