@@ -37,7 +37,7 @@ import numpy as np
 from ..ingest import FeatureMatrix
 
 SEARCH_BLOCK = 1 << 12  # (feature, row) entries per block: bounds the search's temporaries
-SMALL = 64  # nodes of at most this many rows are searched together, a level at a time
+SMALL = 256  # nodes of at most this many rows are searched together, a level at a time
 
 
 @dataclass

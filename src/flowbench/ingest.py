@@ -11,10 +11,12 @@ differ.
 ``CHUNK_ROWS`` rows and finishes each chunk before it reads the next, so
 it holds one chunk of text beside the growing float64 matrix. Each chunk
 is width-checked, loses its identifier cells, and is deduplicated against
-a set of 128-bit BLAKE2b digests of the rows kept so far, which holds no
-row text: with n distinct rows, the chance that two share a digest (and
-one is dropped wrongly) is below n**2 / 2**129, about 1.5e-27 at a million
-rows. A chunk's numeric cells go through ``float`` in one row-major
+the 128-bit BLAKE2b digests of the rows kept so far, which hold no row
+text: they sit in sorted uint64 runs (``_DigestTable``), 16 bytes per
+distinct row. With n distinct rows, the chance that two share a digest
+(and one is dropped wrongly) is below n**2 / 2**129, about 1.5e-27 at a
+million rows. The rows read, the duplicates dropped and the rows kept are
+logged at INFO. A chunk's numeric cells go through ``float`` in one row-major
 C-level stream, and only the cells it rejects reach the missing-token
 rules; Boolean, label and attack-type cells parse each distinct token
 once. Categorical cells get first-seen ids while the file streams, and
@@ -116,7 +118,10 @@ class FeatureMatrix:
             raise ValueError("feature_names length must equal column count")
         if self.labels.shape != (self.values.shape[0],):
             raise ValueError("labels length must equal row count")
-        if not np.isfinite(self.values).all():
+        # NaN propagates through min and max, so this rejects NaN and +-inf
+        # without a full-size Boolean temporary
+        if self.values.size and not (np.isfinite(self.values.min())
+                                     and np.isfinite(self.values.max())):
             raise ValueError("values contain non-finite entries")
         if (self.labels & ~1).any():  # a bit other than the lowest: not 0 or 1
             raise ValueError("labels must contain only 0 and 1")
@@ -308,17 +313,95 @@ def _row_digests(rows, width: int):
     return map(methodcaller("digest"), map(partial(blake2b, digest_size=16), data))
 
 
-def _new_rows(rows, width: int, seen: set) -> list[int]:
-    """Indices of the rows whose digest is not in ``seen``; adds each new digest.
+def _holds(run, hi, lo) -> np.ndarray:
+    """Whether the run (run_hi, run_lo), sorted by hi, holds each digest (hi, lo)."""
+    run_hi, run_lo = run
+    if not len(run_hi):
+        return np.zeros(len(hi), bool)
+    pos = np.searchsorted(run_hi, hi)
+    at = np.minimum(pos, len(run_hi) - 1)
+    same_hi = run_hi[at] == hi
+    found = same_hi & (run_lo[at] == lo)
+    if np.count_nonzero(same_hi) > np.count_nonzero(found):
+        # another digest of the run has this hi (chance 2**-64 a pair): scan all that have it
+        for i in np.flatnonzero(same_hi & ~found).tolist():
+            stop = np.searchsorted(run_hi, hi[i], side="right")
+            found[i] = bool((run_lo[pos[i]:stop] == lo[i]).any())
+    return found
+
+
+def _merged(run, hi, lo):
+    """The run (run_hi, run_lo) with the digests (hi, lo) merged in, both sorted by hi."""
+    run_hi, run_lo = run
+    at = np.searchsorted(run_hi, hi) + np.arange(len(hi))  # each new digest's place
+    old = np.ones(len(run_hi) + len(hi), bool)
+    old[at] = False
+    merged = []
+    for kept, new in ((run_hi, hi), (run_lo, lo)):
+        out = np.empty(len(old), np.uint64)
+        out[at] = new
+        out[old] = kept
+        merged.append(out)
+    return tuple(merged)
+
+
+class _DigestTable:
+    """The distinct 128-bit row digests seen so far, in 16 bytes each.
+
+    A digest is read as two uint64 halves, its first and second 8 bytes
+    (hi, lo). The halves are kept in runs sorted by hi, each more than
+    eight times the size of the next: a chunk's new digests form a run,
+    which is merged into the one before it while it holds more than an
+    eighth as many (the logarithmic method of Bentley and Saxe, 1980). So
+    n digests lie in at most about log8(n / chunk) + 1 runs, and the
+    merges copy a digest O(log n) times (13 on average at 200k rows). A
+    lookup is a binary search of each run's hi, then both halves are
+    compared, so the table is exact on all 128 bits.
+    """
+
+    def __init__(self):
+        self.runs = []  # (hi, lo) arrays, largest run first
+
+    def __len__(self) -> int:
+        return sum(len(hi) for hi, _ in self.runs)
+
+    def add(self, digests: bytes) -> np.ndarray:
+        """Ascending positions of the digests not in the table; adds them.
+
+        ``digests`` holds 16-byte digests back to back. A digest repeated
+        within it counts once, at its first position.
+        """
+        halves = np.frombuffer(digests, np.uint64).reshape(-1, 2)
+        rows = np.argsort(halves[:, 0])
+        hi, lo = halves[rows, 0], halves[rows, 1]
+        same_hi = hi[1:] == hi[:-1]
+        if same_hi.any():  # a digest repeated, or (chance 2**-64 a pair) two sharing a hi
+            if (lo[1:] != lo[:-1])[same_hi].any():
+                rows = np.lexsort((halves[:, 1], halves[:, 0]))  # equal digests side by side
+                hi, lo = halves[rows, 0], halves[rows, 1]
+            first = np.ones(len(hi), bool)
+            first[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+            starts = np.flatnonzero(first)
+            rows = np.minimum.reduceat(rows, starts)  # each distinct digest's first position
+            hi, lo = hi[starts], lo[starts]
+        held = np.zeros(len(hi), bool)
+        for run in self.runs:
+            held |= _holds(run, hi, lo)
+        new = ~held
+        run = hi[new], lo[new]
+        while self.runs and 8 * len(run[0]) > len(self.runs[-1][0]):
+            run = _merged(self.runs.pop(), *run)
+        if len(run[0]):
+            self.runs.append(run)
+        return np.sort(rows[new])
+
+
+def _new_rows(rows, width: int, table: _DigestTable) -> list[int]:
+    """Indices of the rows whose digest is not in ``table``; adds each new digest.
 
     A row repeated within ``rows`` counts once, at its first index.
     """
-    kept = []
-    for r, digest in enumerate(_row_digests(rows, width)):
-        if digest not in seen:
-            seen.add(digest)
-            kept.append(r)
-    return kept
+    return table.add(b"".join(_row_digests(rows, width))).tolist()
 
 
 def deduplicate(table: RawTable) -> RawTable:
@@ -330,7 +413,7 @@ def deduplicate(table: RawTable) -> RawTable:
     below n**2 / 2**129. Each kept row keeps its source row, so later
     errors name the file's row.
     """
-    kept = _new_rows(table.rows, len(table.columns), set())
+    kept = _new_rows(table.rows, len(table.columns), _DigestTable())
     return RawTable(
         columns=list(table.columns),
         rows=[table.rows[r] for r in kept],
@@ -557,18 +640,24 @@ def load_feature_matrix(
         header = _read_header(reader, path, schema)
         columns, take = _kept_columns(header, schema)
         builder = _MatrixBuilder(columns, schema, categorical=True)
-        seen = set()
+        digests = _DigestTable()
+        n_read = 0
         error = None
         for start, chunk in _chunks(reader, len(header)):
+            n_read += len(chunk)
             if error is None:
                 rows = list(map(take, chunk))
-                kept = _new_rows(rows, len(columns), seen)
+                kept = _new_rows(rows, len(columns), digests)
                 try:
                     builder.add([rows[r] for r in kept], [start + r for r in kept])
                 except DataFormatError as exc:
                     error = exc
     if error is not None:
         raise error
+    n_kept = len(digests)
+    del digests  # freed before the matrix is assembled
+    log.info("%s: read %d rows, dropped %d duplicate rows, kept %d",
+             path, n_read, n_read - n_kept, n_kept)
     return builder.finish()
 
 

@@ -47,7 +47,8 @@ def apply_scaler(m: FeatureMatrix, s: ScalerModel) -> FeatureMatrix:
         )
     span = s.maxs - s.mins
     safe = np.where(span > 0, span, 1.0)
-    scaled = (m.values - s.mins) / safe
+    scaled = np.subtract(m.values, s.mins)
+    scaled /= safe  # in place: one full-size temporary fewer
     scaled[:, span == 0] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return m.with_values(scaled, feature_names=m.feature_names)

@@ -226,8 +226,8 @@ class TestDecisionTree:
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
-# 1 searches every node alone, 10**9 pools every node, 8 and 64 mix the two
-GROWTH_SMALL = [1, 8, 64, 10**9]
+# 1 searches every node alone, 10**9 pools every node, 8, 64 and 256 mix the two
+GROWTH_SMALL = [1, 8, 64, 256, 10**9]
 
 
 @st.composite
@@ -270,11 +270,12 @@ class TestPresortedTree:
     @staticmethod
     def assert_every_growth_matches(monkeypatch, fm):
         want = reference_dt_fit(fm)
-        for small in (1, 64, 10**9):
+        for small in (1, 64, 256, 10**9):
             for block in (1, 7, tree.SEARCH_BLOCK):
                 monkeypatch.setattr(tree, "SMALL", small)
                 monkeypatch.setattr(tree, "SEARCH_BLOCK", block)
                 assert_same_tree(dt_fit(fm), want)
+        monkeypatch.undo()  # callers read the default SMALL
         return want
 
     def test_matches_reference_on_overlapping_blobs(self, monkeypatch):
@@ -327,7 +328,7 @@ class TestPresortedTree:
         want = reference_dt_fit(fm)
         saved = tree.SEARCH_BLOCK, tree.SMALL
         try:
-            for small in (1, 64, 10**9):
+            for small in (1, 64, 256, 10**9):
                 for block in (1, 7, saved[0]):
                     tree.SEARCH_BLOCK, tree.SMALL = block, small
                     assert_same_tree(dt_fit(fm), want)

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -514,11 +515,156 @@ def test_peak_memory_is_a_few_output_matrices(tmp_path):
     assert peak < 5 * fm.values.nbytes
 
 
+def digest(hi: int, lo: int) -> bytes:
+    """The 16 bytes that ``_DigestTable`` reads as the halves (hi, lo)."""
+    return np.array([hi, lo], dtype=np.uint64).tobytes()
+
+
+def first_new(batches):
+    """Per batch, the positions of the digests no earlier position held (a set's answer)."""
+    seen, out = set(), []
+    for batch in batches:
+        out.append([r for r, d in enumerate(batch) if d not in seen and not seen.add(d)])
+    return out
+
+
+HALVES = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))  # few values: many shared halves
+
+
+class TestDigestTable:
+    """``_DigestTable`` against a set of the same digests, halves shared on purpose."""
+
+    def add_all(self, batches):
+        table = ingest._DigestTable()
+        return [table.add(b"".join(batch)).tolist() for batch in batches], table
+
+    def test_shared_hi_different_lo_both_kept(self):
+        a, b, c = digest(7, 1), digest(7, 2), digest(7, 3)
+        got, table = self.add_all([[a, b, a, b], [b, c, a, c]])
+        assert got == [[0, 1], [1]]
+        assert len(table) == 3
+
+    def test_repeats_dropped_within_and_across_batches(self):
+        a, b = digest(1, 1), digest(2, 2)
+        assert self.add_all([[a, a, b, a], [b, a], [b, digest(1, 2)]])[0] == [[0, 2], [], [1]]
+
+    def test_empty_batches(self):
+        a = digest(5, 6)
+        got, table = self.add_all([[], [a], [], [a, digest(6, 5)], []])
+        assert got == [[], [0], [], [1], []]
+        assert len(table) == 2
+
+    def test_first_occurrence_in_row_order(self):
+        # hi falls as the position rises, so the sorted order is the reverse of row order
+        batch = [digest(9 - r % 5, 0) for r in range(10)]
+        assert self.add_all([batch])[0] == [[0, 1, 2, 3, 4]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=st.lists(st.lists(st.tuples(HALVES, HALVES).map(lambda h: digest(*h)),
+                                     max_size=12), max_size=40))
+    def test_matches_a_set(self, batches):
+        got, table = self.add_all(batches)
+        assert got == first_new(batches)
+        assert len(table) == len(set().union(*batches))
+
+    def test_merges_keep_every_digest(self):
+        # enough batches for runs of several sizes and merges across them
+        rng = np.random.default_rng(4)
+        pool = [digest(int(rng.integers(0, 40)), int(lo)) for lo in rng.integers(0, 2**64, 300,
+                                                                              dtype=np.uint64)]
+        batches = [[pool[i] for i in rng.integers(0, len(pool), 16)] for _ in range(120)]
+        table, got = ingest._DigestTable(), []
+        for batch in batches:
+            got.append(table.add(b"".join(batch)).tolist())
+            sizes = [len(hi) for hi, _ in table.runs]
+            assert all(8 * b <= a for a, b in zip(sizes, sizes[1:]))  # each run 8x the next
+        assert got == first_new(batches)
+        assert len(table) == len(set().union(*batches))
+
+
+def one_hi(original):
+    """``_row_digests`` with every digest's first 8 bytes set to 0, so all rows share a hi."""
+    return lambda rows, width: (bytes(8) + d[8:] for d in original(rows, width))
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(rows=raw_tables())
+def test_streamed_with_every_hi_shared(chunk_rows, rows):
+    # every lookup scans the rows that share a hi, and every chunk sorts on both halves
+    with mock.patch.object(ingest, "_row_digests", one_hi(ingest._row_digests)):
+        got = streamed(PROP_HEADER, rows, PROP, chunk_rows)
+    assert_same_as_reference(got, reference_feature_matrix(PROP_HEADER, rows, PROP))
+
+
+def test_digest_table_holds_16_bytes_a_row():
+    n, c = 50_000, ingest.CHUNK_ROWS
+    data = np.random.default_rng(0).integers(0, 2**64, (n, 2), dtype=np.uint64).tobytes()
+    batches = [data[i:i + 16 * c] for i in range(0, len(data), 16 * c)]
+
+    def held(store, add):
+        """(bytes held, peak bytes) while ``add`` puts every batch into ``store``."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for batch in batches:
+                add(store, batch)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return now - before, peak - before
+
+    table = ingest._DigestTable()
+    table_held, table_peak = held(table, ingest._DigestTable.add)
+    assert len(table) == n
+    assert table_held <= 32 * n
+    assert table_peak <= 48 * n  # the merge copies the large run once
+    # the bound tells the table from a set of the same digests
+    seen = set()
+    set_held, _ = held(seen, lambda s, b: s.update(b[i:i + 16] for i in range(0, len(b), 16)))
+    assert len(seen) == n
+    assert set_held > 32 * n
+
+
+def test_load_logs_what_it_dropped(tmp_path, caplog):
+    rows = tiny_rows()
+    rows += [["7", "10.7.7.7", *rows[0][2:]], rows[1], ["8", "10.8.8.8", *rows[0][2:]]]
+    path = write_csv(tmp_path / "t.csv", TINY_HEADER, rows)
+    with caplog.at_level("INFO", logger="flowbench.ingest"):
+        fm, _ = load_feature_matrix(path, TINY)
+    assert fm.n_samples == 3
+    assert f"{path}: read 6 rows, dropped 3 duplicate rows, kept 3" in caplog.messages
+
+
 class TestFeatureMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             FeatureMatrix(values=np.array([[np.nan]]), feature_names=["a"],
                           labels=np.array([0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 7, 11])
+    def test_rejects_non_finite_anywhere(self, bad, at):
+        values = np.arange(12.0).reshape(4, 3)
+        values.flat[at] = bad
+        with pytest.raises(ValueError, match="^values contain non-finite entries$"):
+            FeatureMatrix(values=values, feature_names=["a", "b", "c"], labels=np.zeros(4))
+
+    def test_accepts_empty_matrices(self):
+        assert FeatureMatrix(np.zeros((0, 3)), ["a", "b", "c"], np.zeros(0)).n_samples == 0
+        assert FeatureMatrix(np.zeros((3, 0)), [], np.zeros(3)).n_features == 0
+
+    def test_finiteness_check_allocates_less_than_the_values(self):
+        n, d = 20_000, 16
+        values = np.random.default_rng(0).normal(size=(n, d))
+        labels = np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            FeatureMatrix(values, [f"f{j}" for j in range(d)], labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d  # a Boolean temporary of the values alone takes n * d bytes
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,19 @@ class TestScaler:
         out = apply_scaler(matrix([[-5.0], [2.0]]), s)
         np.testing.assert_allclose(out.values[:, 0], [0.0, 1.0])
 
+    def test_same_bytes_as_the_formula_and_input_untouched(self):
+        rng = np.random.default_rng(5)
+        train = matrix(rng.normal(scale=3.0, size=(40, 4)))
+        s = fit_scaler(train)
+        s.maxs[2] = s.mins[2]  # a zero-range feature
+        test = matrix(rng.normal(scale=5.0, size=(30, 4)))  # values outside the fitted range
+        before = test.values.tobytes()
+        span = s.maxs - s.mins
+        want = np.clip((test.values - s.mins) / np.where(span > 0, span, 1.0), 0.0, 1.0)
+        want[:, 2] = 0.0
+        assert apply_scaler(test, s).values.tobytes() == want.tobytes()
+        assert test.values.tobytes() == before
+
     def test_width_mismatch(self):
         s = fit_scaler(matrix([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="mismatch"):
