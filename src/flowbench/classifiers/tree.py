@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import FeatureMatrix
+from ..ingest import FeatureMatrix, model_input
 
 SEARCH_BLOCK = 1 << 12  # (feature, row) entries per block: bounds the search's temporaries
 SMALL = 256  # nodes of at most this many rows are searched together, a level at a time
@@ -428,7 +428,7 @@ def _grow_pool(x, y1, nodes, pool, go_left):
 
 def dt_score(model: TreeModel, m) -> np.ndarray:
     """Per-row probability of class 1 = leaf class-1 fraction."""
-    x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
+    x = model_input(m)
     widest = int(model.feature.max())
     if widest >= x.shape[1]:
         raise ValueError(f"tree expects at least {widest + 1} features, data has {x.shape[1]}")

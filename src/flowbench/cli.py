@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .ingest import write_csv
-from .runner import ExperimentConfig, best_per_model, read_manifest, run, write_outputs
+from .runner import ExperimentConfig, best_per_model, mean_records, read_manifest, run, write_outputs
 from .schema import schema_to_file
 from .synth import SynthSpec, schema_for, synth_generate
 
@@ -18,7 +18,7 @@ def _cmd_run(args) -> int:
         args.config, seed=args.seed, subsample=args.subsample, output_dir=args.out
     )
     records = run(config, jobs=args.jobs)
-    ok = sum(1 for r in records if r["fold"] == "mean" and r["status"] == "ok")
+    ok = len(mean_records(records))
     failed = sum(1 for r in records if r["status"] != "ok")
     print(f"run complete: {ok} cell(s) ok, {failed} failed -> {config.output_dir}")
     return 0 if failed == 0 else 1
@@ -26,8 +26,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = SynthSpec.from_file(args.spec) if args.spec else SynthSpec()
-    result = synth_generate(spec, seed=args.seed, path=args.out)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = synth_generate(spec, seed=args.seed, path=args.out)
     schema_to_file(schema_for(spec), out.with_suffix(".schema.json"))
     result.to_json(out.with_suffix(".bookkeeping.json"))
     print(

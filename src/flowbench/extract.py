@@ -17,10 +17,6 @@ from .nn.network import (
 )
 
 
-def _values(m) -> np.ndarray:
-    return m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-
-
 def _as_output(m, z, prefix):
     names = [f"{prefix}{i}" for i in range(z.shape[1])]
     if isinstance(m, FeatureMatrix):
@@ -43,17 +39,22 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def pca_width(n_samples: int, n_features: int) -> int:
+    """The most components PCA can fit on ``n_samples`` rows of ``n_features`` columns."""
+    return min(n_samples - 1, n_features)
+
+
 def pca_fit(train, k: int) -> PcaModel:
-    """Mean-centred SVD; keeps the top-k right singular vectors.
+    """Mean-centred SVD; keeps the top-k right singular vectors, 1 <= k <= ``pca_width``.
 
     Component signs are fixed so each row's largest-magnitude entry is
     positive, making fits reproducible across SVD implementations.
     """
-    x = _values(train)
+    x = model_input(train)
     n, d = x.shape
     if n <= 1:
         raise ValueError("PCA needs at least two samples")
-    width = min(n - 1, d)
+    width = pca_width(n, d)
     if not 1 <= k <= width:
         raise ValueError(f"k={k} out of range 1..{width}")
     mean = x.mean(axis=0)
@@ -99,7 +100,7 @@ def pca_transform(m, model: PcaModel):
 
 def pca_inverse(z, model: PcaModel) -> np.ndarray:
     """Back-projection into the original feature space."""
-    z = _values(z)
+    z = model_input(z)
     return z @ model.components + model.mean
 
 
@@ -189,7 +190,7 @@ class AeModel:
 
 def ae_fit(train, k: int, cfg: TrainConfig) -> AeModel:
     """Train the autoencoder to reconstruct its [0,1]-scaled input."""
-    x = _values(train)
+    x = model_input(train)
     if k < 1:
         raise ValueError("bottleneck width must be at least 1")
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
@@ -215,7 +216,7 @@ def ae_encode(m, model: AeModel):
 
 
 def ae_reconstruct(m, model: AeModel) -> np.ndarray:
-    x = _values(m)
+    x = model_input(m)
     return model.network.forward(x, train=False).astype(np.float64, copy=False)
 
 
@@ -244,7 +245,7 @@ def variance_report(extracted, method: str, total_variance: float | None = None)
     pass the fitted model's total_variance for k < d fits, otherwise the
     extracted columns' own total is used.
     """
-    x = _values(extracted)
+    x = model_input(extracted)
     if x.shape[0] == 0:
         raise ValueError("cannot report variance of an empty matrix")
     variances = x.var(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])

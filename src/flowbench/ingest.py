@@ -164,13 +164,13 @@ class FeatureMatrix:
         )
 
 
-def model_input(m, n_features: int) -> np.ndarray:
-    """The float64 values of a matrix or array given to a fitted model.
+def model_input(m, n_features: int | None = None) -> np.ndarray:
+    """The float64 values of a matrix or array given to a model.
 
-    Fails unless the data has the ``n_features`` columns the model was fitted on.
+    Given ``n_features``, fails unless the data has the columns the model was fitted on.
     """
     x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=np.float64)
-    if x.shape[1] != n_features:
+    if n_features is not None and x.shape[1] != n_features:
         raise ValueError(
             f"width mismatch: data has {x.shape[1]} features, model expects {n_features}"
         )

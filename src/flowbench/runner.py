@@ -37,7 +37,7 @@ from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
 from .evaluate import METRICS, RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
 from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
-    pca_truncate, variance_report,
+    pca_truncate, pca_width, variance_report,
 )
 from .ingest import FeatureMatrix, integer, load_feature_matrix, real, write_csv
 from .nn.network import TrainConfig
@@ -111,7 +111,8 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if not isinstance(self.train, dict):
             raise ValueError(f"train must be an object, got {self.train!r}")
-        unknown = set(self.train) - {"epochs", "batch_size", "learning_rate"}
+        # every TrainConfig field but the seed, which each fit derives
+        unknown = set(self.train) - {f.name for f in fields(TrainConfig) if f.name != "seed"}
         if unknown:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
         self.train = dict(self.train)
@@ -215,12 +216,11 @@ def _group_plan(config: ExperimentConfig, n_features: int, n_train: int):
     """(fe, dims) groups in config order, and the dropped groups with their reasons.
 
     full uses all features and lda one. A pca or ae group needs dims below
-    the PCA width min(n_train - 1, n_features) of the smallest training
-    fold: PCA cannot fit more components, at the width itself it is a
-    rotation of the full features, and an autoencoder that wide reduces
-    nothing.
+    the ``pca_width`` of the smallest training fold: PCA cannot fit more
+    components, at the width itself it is a rotation of the full features,
+    and an autoencoder that wide reduces nothing.
     """
-    width = min(n_train - 1, n_features)
+    width = pca_width(n_train, n_features)
     groups, dropped = [], []
     for fe in config.fe_methods:
         if fe == "full":
@@ -252,10 +252,6 @@ class FoldFit:
     pca: PcaModel | Exception | None
 
 
-def _full_pca(scaled: FeatureMatrix) -> PcaModel:
-    return pca_fit(scaled, min(scaled.n_samples - 1, scaled.n_features))
-
-
 def _attempt(fit):
     """fit(), or the exception it raised: a failed fold fit fails only the groups using it."""
     try:
@@ -281,7 +277,8 @@ def _fold_fits(config: ExperimentConfig, fm: FeatureMatrix, plan: FoldPlan,
         scaler = _attempt(lambda: fit_scaler(train))
         pca = None
         if with_pca:
-            pca = _attempt(lambda: _full_pca(apply_scaler(train, _fitted(scaler))))
+            pca = _attempt(lambda: pca_fit(apply_scaler(train, _fitted(scaler)),
+                                           pca_width(train.n_samples, train.n_features)))
         fits.append(FoldFit(train_idx, test_idx, scaler, pca))
     return fits
 
@@ -438,8 +435,8 @@ def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> N
     var_dir = out_dir / "variance"
     var_dir.mkdir(exist_ok=True)
     scaled = apply_scaler(fm, fit_scaler(fm))
-    if min(fm.n_features, fm.n_samples - 1) >= 1:
-        pca = _full_pca(scaled)
+    if (width := pca_width(fm.n_samples, fm.n_features)) >= 1:
+        pca = pca_fit(scaled, width)
         report = variance_report(
             pca_transform(scaled, pca), "pca", total_variance=pca.total_variance
         )

@@ -11,11 +11,12 @@ columns, and records exact bookkeeping so tests can assert on the counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .schema import DatasetSchema
+from .ingest import integer, real, write_csv
+from .schema import SYNTHETIC, DatasetSchema
 
 DIRTY_TOKENS = ("nan", "-", "Infinity", "-Infinity")
 
@@ -37,11 +38,25 @@ class SynthSpec:
     attack_type_scales: tuple[float, ...] | None = None  # per-type separation factor
 
     def __post_init__(self):
+        for name in ("rows", "n_informative", "n_noise", "n_categorical", "n_boolean"):
+            integer(name, getattr(self, name))
+        for name in ("imbalance", "duplicate_rate", "dirty_rate", "separation"):
+            real(name, getattr(self, name))
+        if not isinstance(self.attack_types, (list, tuple)) or not all(
+                isinstance(t, str) for t in self.attack_types):
+            raise ValueError(f"attack_types must be a list of strings, got {self.attack_types!r}")
+        self.attack_types = tuple(self.attack_types)
+        if self.attack_type_scales is not None:
+            if not isinstance(self.attack_type_scales, (list, tuple)):
+                raise ValueError(
+                    f"attack_type_scales must be a list, got {self.attack_type_scales!r}")
+            self.attack_type_scales = tuple(
+                real("attack_type_scales", s) for s in self.attack_type_scales)
         if self.rows < 4:
             raise ValueError("rows must be at least 4")
         if not 0.0 < self.imbalance < 1.0:
             raise ValueError("imbalance must lie strictly between 0 and 1")
-        if self.n_informative < 0 or self.n_noise < 0:
+        if min(self.n_informative, self.n_noise, self.n_categorical, self.n_boolean) < 0:
             raise ValueError("feature counts must be non-negative")
         if self.n_informative + self.n_noise == 0:
             raise ValueError("need at least one numeric feature")
@@ -58,12 +73,18 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
+        """A spec from a JSON object of its fields; a bad key or value fails naming the file."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        for key in ("attack_types", "attack_type_scales"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: synth spec must be a JSON object, got {raw!r}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{path}: unknown synth spec key(s) {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -86,18 +107,12 @@ class SynthResult:
 
 
 def schema_for(spec: SynthSpec) -> DatasetSchema:
-    """Schema matching the columns synth_generate writes for this spec."""
-    cats = ["proto", "service"] + [f"cat_{i}" for i in range(2, spec.n_categorical)]
-    bools = ["flag_a", "flag_b"] + [f"flag_{i}" for i in range(2, spec.n_boolean)]
-    return DatasetSchema(
-        name="synthetic",
-        identifier_columns=("flow_id", "src_ip", "dst_ip", "src_port", "dst_port", "ts"),
-        categorical_columns=tuple(cats[: spec.n_categorical]),
-        boolean_columns=tuple(bools[: spec.n_boolean]),
-        label_column="label",
-        attack_type_column="attack_type",
-        positive_token="attack",
-    )
+    """``SYNTHETIC`` with the categorical and Boolean columns that this spec gives."""
+    cats, bools = SYNTHETIC.categorical_columns, SYNTHETIC.boolean_columns
+    cats += tuple(f"cat_{i}" for i in range(len(cats), spec.n_categorical))
+    bools += tuple(f"flag_{i}" for i in range(len(bools), spec.n_boolean))
+    return replace(SYNTHETIC, categorical_columns=cats[:spec.n_categorical],
+                   boolean_columns=bools[:spec.n_boolean])
 
 
 _PROTOS = ("tcp", "udp", "icmp")
@@ -164,7 +179,7 @@ def synth_generate(spec: SynthSpec, seed: int, path) -> SynthResult:
         for _ in bool_cols:
             cells.append("T" if rng.random() < 0.5 else "F")
         if labels[i] == 1:
-            cells.append("attack")
+            cells.append(schema.positive_token)
             cells.append(spec.attack_types[type_idx[i]])
         else:
             cells.append("benign")
@@ -198,8 +213,5 @@ def synth_generate(spec: SynthSpec, seed: int, path) -> SynthResult:
     rng.shuffle(rows)
 
     result.rows_written = len(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for cells in rows:
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, header, rows)
     return result

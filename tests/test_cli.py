@@ -31,6 +31,14 @@ def test_synth_writes_sidecars(synth_csv):
     assert doc["rows_written"] == 260
 
 
+def test_synth_creates_the_output_directory(tmp_path):
+    out = tmp_path / "new" / "nested" / "flows.csv"
+    assert main(["synth", "--out", str(out), "--seed", "2"]) == 0
+    assert out.exists()
+    assert out.with_suffix(".schema.json").exists()
+    assert json.loads(out.with_suffix(".bookkeeping.json").read_text())["rows_written"] == 1000
+
+
 def test_run_and_report(synth_csv, tmp_path, capsys):
     out_dir = tmp_path / "out"
     config = {

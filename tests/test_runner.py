@@ -15,6 +15,7 @@ import pytest
 
 from flowbench import runner as runner_mod
 from flowbench.evaluate import METRICS, evaluate
+from flowbench.extract import pca_fit, pca_width
 from flowbench.ingest import write_csv
 from flowbench.nn import TrainConfig
 from flowbench.runner import (
@@ -75,6 +76,8 @@ class TestConfig:
             ExperimentConfig(dataset_path=str(dataset), dimensions=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_path=str(dataset), train={"momentum": 0.9})
+        with pytest.raises(ValueError, match=r"unknown train override\(s\) \['seed'\]"):
+            ExperimentConfig(dataset_path=str(dataset), train={"seed": 1})  # derived per fit
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), "nan"])
     def test_learning_rate_checked_at_construction(self, dataset, rate):
@@ -362,6 +365,20 @@ class TestRun:
         groups, dropped = runner_mod._group_plan(config, n_features=14, n_train=400)
         assert ("pca", 5) in groups and ("ae", 5) in groups
         assert [(d["fe"], d["dims"]) for d in dropped] == [("pca", 30), ("ae", 30)]
+
+    @pytest.mark.parametrize("n_features, n_train", [(14, 6), (4, 400), (9, 10)])
+    def test_dims_below_the_pca_width_run(self, n_features, n_train):
+        width = pca_width(n_train, n_features)
+        config = ExperimentConfig(dataset_path="unused", fe_methods=("pca", "ae"),
+                                  dimensions=(width - 1, width))
+        groups, dropped = runner_mod._group_plan(config, n_features, n_train)
+        assert groups == [("pca", width - 1), ("ae", width - 1)]
+        assert [(d["fe"], d["dims"]) for d in dropped] == [("pca", width), ("ae", width)]
+        x = np.random.default_rng(n_train).normal(size=(n_train, n_features))
+        for k in (0, width + 1):
+            with pytest.raises(ValueError, match=rf"^k={k} out of range 1\.\.{width}$"):
+                pca_fit(x, k)
+        assert [pca_fit(x, k).k for k in range(1, width + 1)] == list(range(1, width + 1))
 
     def test_results_cells_are_manifest_values(self, dataset, tmp_path, monkeypatch):
         out = tmp_path / "out"

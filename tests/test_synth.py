@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from flowbench.ingest import deduplicate, drop_identifiers, load_csv, load_feature_matrix
+from flowbench.schema import SYNTHETIC
 from flowbench.synth import SynthSpec, schema_for, synth_generate
 
 
@@ -25,6 +27,34 @@ class TestSynthSpec:
         spec = SynthSpec.from_file(path)
         assert spec.rows == 50
         assert spec.attack_types == ("dos",)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": 100, "colour": 3}, r"unknown synth spec key\(s\) \['colour'\]"),
+        ([1, 2], r"synth spec must be a JSON object, got \[1, 2\]"),
+        ({"rows": "many"}, r"rows must be an integer, got 'many'"),
+        ({"separation": "wide"}, r"separation must be a real number, got 'wide'"),
+        ({"attack_types": "dos"}, r"attack_types must be a list of strings, got 'dos'"),
+        ({"attack_type_scales": [1.0, None, 2.0]},
+         r"attack_type_scales must be a real number, got None"),
+        ({"n_boolean": -1}, r"feature counts must be non-negative"),
+    ], ids=["unknown-key", "not-an-object", "string-rows", "string-separation",
+            "string-attack-types", "null-scale", "negative-count"])
+    def test_from_file_names_the_file_and_key(self, tmp_path, doc, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            SynthSpec.from_file(path)
+
+
+class TestSchemaFor:
+    def test_default_spec_gives_the_builtin_layout(self):
+        assert schema_for(SynthSpec()) == SYNTHETIC
+
+    def test_columns_follow_the_counts(self):
+        schema = schema_for(SynthSpec(n_categorical=3, n_boolean=1))
+        assert schema.categorical_columns == ("proto", "service", "cat_2")
+        assert schema.boolean_columns == ("flag_a",)
+        assert schema_for(SynthSpec(n_categorical=0)).categorical_columns == ()
 
 
 class TestGenerate:
@@ -57,6 +87,27 @@ class TestGenerate:
             spec.n_informative + spec.n_noise + spec.n_categorical + spec.n_boolean
         )
         assert fm.n_features == expected_features
+
+    def test_attack_types_needing_quotes_load_as_written(self, tmp_path):
+        spec = SynthSpec(rows=400, imbalance=0.5, duplicate_rate=0.05,
+                         attack_types=("dos, slow", 'say "hi"', "port scan"))
+        path = tmp_path / "quoted.csv"
+        result = synth_generate(spec, seed=4, path=path)
+        fm, _ = load_feature_matrix(path, schema_for(spec))
+        assert b'"dos, slow"' in path.read_bytes()
+        assert fm.n_samples == result.unique_rows
+        assert (fm.n_samples - fm.labels.sum(), fm.labels.sum()) == (
+            result.class0_rows, result.class1_rows)
+        attacks = fm.attack_types[fm.labels == 1]
+        assert {t: int((attacks == t).sum()) for t in spec.attack_types} == \
+            result.per_attack_counts
+
+    def test_rows_end_in_crlf(self, tmp_path):
+        path = tmp_path / "f.csv"
+        synth_generate(SynthSpec(rows=20), seed=0, path=path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(lines) == 22 and lines[-1] == b""
+        assert not any(b"\n" in line for line in lines)
 
     def test_dirty_cells_counted(self, tmp_path):
         spec = SynthSpec(rows=500, dirty_rate=0.05)
