@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from hashlib import blake2b
 from itertools import chain, islice, repeat
-from numbers import Integral, Real
 from operator import itemgetter, methodcaller
 
 import numpy as np
@@ -175,20 +174,6 @@ def model_input(m, n_features: int | None = None) -> np.ndarray:
             f"width mismatch: data has {x.shape[1]} features, model expects {n_features}"
         )
     return x
-
-
-def integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float, string or None raises, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def real(name: str, value) -> float:
-    """``value`` as a float; a bool, string, None or other non-real raises, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def row_weights(sample_weight, n_rows: int) -> np.ndarray:

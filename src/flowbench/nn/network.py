@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TrainingDiverged
-from ..ingest import integer, real, row_weights
+from ..errors import TrainingDiverged, integer, real
+from ..ingest import row_weights
 from .layers import AvgPool1D, Conv1D, Dense, Dropout, LSTM, Layer, Reshape
 # training calls bce_with_logits; bench/spans.py patches this module's bce_with_grad
 from .loss import bce_with_grad, bce_with_logits
@@ -23,14 +23,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.epochs = integer("epochs", self.epochs)
-        self.batch_size = integer("batch_size", self.batch_size)
+        self.epochs = integer("epochs", self.epochs, minimum=1)
+        self.batch_size = integer("batch_size", self.batch_size, minimum=1)
         self.seed = integer("seed", self.seed)
         self.learning_rate = real("learning_rate", self.learning_rate)
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}"

@@ -28,18 +28,20 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
 from .evaluate import METRICS, RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
+from .errors import build, integer, read_json, real, string, strings
 from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, pca_width, variance_report,
 )
-from .ingest import FeatureMatrix, integer, load_feature_matrix, real, write_csv
+from .ingest import FeatureMatrix, load_feature_matrix, write_csv
 from .nn.network import TrainConfig
 from .preprocess import (
     FoldPlan, ScalerModel, apply_scaler, fit_scaler, stratified_kfold, stratified_subsample,
@@ -51,16 +53,6 @@ log = logging.getLogger(__name__)
 FE_METHODS = ("full", "pca", "lda", "ae")
 DEFAULT_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30)
 CONFIG_VERSION = 1
-
-
-def _learning_rate(value) -> float:
-    """``train.learning_rate`` as a float; a numeric string is also taken."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(f"train.learning_rate must be a number, got {value!r}") from None
-    return real("train.learning_rate", value)
 
 
 @dataclass
@@ -79,36 +71,20 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for name in ("fe_methods", "dimensions", "models"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-            if name != "dimensions" and not all(isinstance(v, str) for v in value):
-                raise ValueError(f"{name} must be a list of strings, got {value!r}")
-            if name != "dimensions" and len(set(value)) < len(value):  # cells would run twice
-                raise ValueError(f"{name} must be a list without repeats, got {value!r}")
-        self.fe_methods = tuple(self.fe_methods)
-        self.dimensions = tuple(integer("dimensions", d) for d in self.dimensions)
-        self.folds = integer("folds", self.folds)
+        for name in ("dataset_path", "schema_name", "schema_file", "output_dir"):
+            string(name, getattr(self, name), optional=name == "schema_file")
+        self.fe_methods = strings("fe_methods", self.fe_methods, choices=FE_METHODS)
+        self.models = strings("models", self.models, choices=ALL_KINDS)
+        if not isinstance(self.dimensions, (list, tuple)):
+            raise ValueError(f"dimensions must be a list, got {self.dimensions!r}")
+        self.dimensions = tuple(integer("dimensions", d, minimum=1) for d in self.dimensions)
+        self.folds = integer("folds", self.folds, minimum=2)
         self.seed = integer("seed", self.seed)
         if self.subsample is not None:
-            self.subsample = integer("subsample", self.subsample)
-            if self.subsample < 1:
-                raise ValueError(f"subsample must be at least 1, got {self.subsample}")
+            self.subsample = integer("subsample", self.subsample, minimum=1)
         real("threshold", self.threshold)
         if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
             raise ValueError(f"threshold must be within [0, 1], got {self.threshold!r}")
-        self.models = tuple(self.models)
-        bad = set(self.fe_methods) - set(FE_METHODS)
-        if bad:
-            raise ValueError(f"unknown fe_methods {sorted(bad)}; choose from {FE_METHODS}")
-        bad = set(self.models) - set(ALL_KINDS)
-        if bad:
-            raise ValueError(f"unknown models {sorted(bad)}; choose from {ALL_KINDS}")
-        if any(d < 1 for d in self.dimensions):
-            raise ValueError("dimensions must all be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
         if not isinstance(self.train, dict):
             raise ValueError(f"train must be an object, got {self.train!r}")
         # every TrainConfig field but the seed, which each fit derives
@@ -116,40 +92,28 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown train override(s) {sorted(unknown)}")
         self.train = dict(self.train)
-        for key in ("epochs", "batch_size"):
-            if key in self.train:
-                self.train[key] = integer(f"train.{key}", self.train[key])
-        if "learning_rate" in self.train:
-            self.train["learning_rate"] = _learning_rate(self.train["learning_rate"])
-        self.train_config(0)  # TrainConfig validates the overrides
+        if isinstance(self.train.get("learning_rate"), str):  # a numeric string is also taken
+            with suppress(ValueError):
+                self.train["learning_rate"] = float(self.train["learning_rate"])
+        try:  # TrainConfig checks and converts each override
+            checked = self.train_config(0)
+        except ValueError as exc:
+            raise ValueError(f"train.{exc}") from None
+        self.train = {key: getattr(checked, key) for key in self.train}
 
     @classmethod
     def from_dict(cls, raw: dict, source) -> "ExperimentConfig":
         """A config from its JSON form; ``source`` names the file in errors."""
-        if not isinstance(raw, dict):
-            raise ValueError(f"{source}: config must be a JSON object")
-        raw = dict(raw)
-        version = raw.pop("version", None)
-        if version != CONFIG_VERSION:
-            raise ValueError(
-                f"{source}: config version must be {CONFIG_VERSION}, got {version!r}"
-            )
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"{source}: unknown config key(s) {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
-        missing -= raw.keys()
-        if missing:
-            raise ValueError(f"{source}: missing config key(s) {sorted(missing)}")
-        try:
-            return cls(**raw)
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+        if isinstance(raw, dict):
+            raw = dict(raw)
+            if (version := raw.pop("version", None)) != CONFIG_VERSION:
+                raise ValueError(f"{source}: config version must be {CONFIG_VERSION}, "
+                                 f"got {version!r}")
+        return build(cls, raw, source, "config")
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         if isinstance(raw, dict):  # from_dict names the file for anything else
             raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(raw, path)
@@ -386,6 +350,17 @@ def _row(**values) -> dict:
     return {name: getattr(rec, name) for name in ResultRecord.__dataclass_fields__}
 
 
+@dataclass
+class Manifest:
+    """A run's manifest.json: its config block, then the completed cells and dropped groups."""
+
+    version: int
+    config_digest: str
+    config: dict
+    completed: dict
+    dropped: list = field(default_factory=list)  # absent before dropped groups were recorded
+
+
 def _load_completed(path: Path, digest: str) -> dict[str, dict]:
     """The completed cells of the manifest at ``path`` if its config digest is ``digest``.
 
@@ -394,16 +369,15 @@ def _load_completed(path: Path, digest: str) -> dict[str, dict]:
     """
     if not path.exists():
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("config_digest") != digest:
+    doc = build(Manifest, read_json(path), path, "manifest")
+    if doc.config_digest != digest:
         log.warning("manifest does not match this config; starting fresh")
         for stale in ("roc", "sweeps"):
             for csv_path in (path.parent / stale).glob("*.csv"):
                 csv_path.unlink()
         return {}
-    log.info("resuming: %d cell(s) already complete", len(doc["completed"]))
-    return doc["completed"]
+    log.info("resuming: %d cell(s) already complete", len(doc.completed))
+    return doc.completed
 
 
 def _flush_manifest(path: Path, header: dict, completed: dict, dropped: list[dict]) -> None:
@@ -418,15 +392,14 @@ def _flush_manifest(path: Path, header: dict, completed: dict, dropped: list[dic
 def read_manifest(run_dir) -> tuple[ExperimentConfig, dict, list[dict]]:
     """The config, the completed cells and the dropped groups recorded in a run directory."""
     path = Path(run_dir) / "manifest.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    raw = doc["config"]
+    doc = build(Manifest, read_json(path), path, "manifest")
+    raw = doc.config
     if isinstance(raw, dict) and "fit_global" in raw:  # from before per-fold-only fitting
         raw = dict(raw)
         if raw.pop("fit_global"):
             raise ValueError(f"{path}: run with fit_global, whose scaler and extractors "
                              "saw the test rows; rerun it")
-    return ExperimentConfig.from_dict(raw, path), doc["completed"], doc.get("dropped", [])
+    return ExperimentConfig.from_dict(raw, path), doc.completed, doc.dropped
 
 
 def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> None:

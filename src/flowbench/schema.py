@@ -7,10 +7,10 @@ the synthetic generator. Custom layouts load from a JSON file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
+from itertools import combinations
 
-from .errors import SchemaError
+from .errors import SchemaError, build, read_json, string, strings, write_json
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,25 @@ class DatasetSchema:
     benign_token: str | None = None
 
     def __post_init__(self):
-        groups = {
-            "identifier_columns": set(self.identifier_columns),
-            "categorical_columns": set(self.categorical_columns),
-            "boolean_columns": set(self.boolean_columns),
-            "label": {self.label_column},
-        }
-        names = list(groups)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                overlap = groups[a] & groups[b]
-                if overlap:
-                    raise SchemaError(
-                        f"schema {self.name!r}: columns {sorted(overlap)} appear "
-                        f"in both {a} and {b}"
-                    )
-        for role in ("identifier_columns", "categorical_columns", "boolean_columns"):
-            if self.attack_type_column in groups[role]:
-                raise SchemaError(
-                    f"schema {self.name!r}: attack_type_column "
-                    f"{self.attack_type_column!r} is also in {role}"
-                )
+        try:
+            roles = {}  # each column-list field, as a set
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if isinstance(f.default, tuple):  # json gives a list
+                    object.__setattr__(self, f.name, strings(f.name, value, unique=False))
+                    roles[f.name] = set(value)
+                else:
+                    string(f.name, value, optional=f.default is None)
+            groups = {**roles, "label": {self.label_column}}
+            for a, b in combinations(groups, 2):
+                if overlap := groups[a] & groups[b]:
+                    raise ValueError(f"columns {sorted(overlap)} appear in both {a} and {b}")
+            for role, columns in roles.items():
+                if self.attack_type_column in columns:
+                    raise ValueError(
+                        f"attack_type_column {self.attack_type_column!r} is also in {role}")
+        except ValueError as exc:
+            raise SchemaError(f"schema {self.name!r}: {exc}") from None
 
     def declared_columns(self) -> list[str]:
         cols = list(self.identifier_columns)
@@ -135,31 +133,11 @@ def get_schema(name: str) -> DatasetSchema:
 
 def schema_from_file(path) -> DatasetSchema:
     """Load a user schema from a JSON file of the documented key-value layout."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: schema file must hold a JSON object")
-    defaults = {f.name: f.default for f in fields(DatasetSchema)}
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise SchemaError(f"{path}: unknown schema keys {sorted(unknown)}")
-    for key, value in raw.items():
-        if isinstance(defaults[key], tuple):
-            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
-                raise SchemaError(f"{path}: {key} must be a list of column names, got {value!r}")
-            raw[key] = tuple(value)
-        elif not isinstance(value, str) and not (value is None and defaults[key] is None):
-            raise SchemaError(f"{path}: {key} must be a string, got {value!r}")
-    try:
-        return DatasetSchema(**raw)
-    except (TypeError, SchemaError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return build(DatasetSchema, read_json(path, SchemaError), path, "schema", SchemaError)
 
 
 def schema_to_file(schema: DatasetSchema, path) -> None:
     doc = asdict(schema)  # json writes each column tuple as a list
     if schema.benign_token is None:
         del doc["benign_token"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)

@@ -10,12 +10,12 @@ columns, and records exact bookkeeping so tests can assert on the counts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ingest import integer, real, write_csv
+from .errors import build, integer, read_json, real, strings, write_json
+from .ingest import write_csv
 from .schema import SYNTHETIC, DatasetSchema
 
 DIRTY_TOKENS = ("nan", "-", "Infinity", "-Infinity")
@@ -38,26 +38,20 @@ class SynthSpec:
     attack_type_scales: tuple[float, ...] | None = None  # per-type separation factor
 
     def __post_init__(self):
-        for name in ("rows", "n_informative", "n_noise", "n_categorical", "n_boolean"):
-            integer(name, getattr(self, name))
+        integer("rows", self.rows, minimum=4)
+        for name in ("n_informative", "n_noise", "n_categorical", "n_boolean"):
+            integer(name, getattr(self, name), minimum=0)
         for name in ("imbalance", "duplicate_rate", "dirty_rate", "separation"):
             real(name, getattr(self, name))
-        if not isinstance(self.attack_types, (list, tuple)) or not all(
-                isinstance(t, str) for t in self.attack_types):
-            raise ValueError(f"attack_types must be a list of strings, got {self.attack_types!r}")
-        self.attack_types = tuple(self.attack_types)
+        self.attack_types = strings("attack_types", self.attack_types)
         if self.attack_type_scales is not None:
             if not isinstance(self.attack_type_scales, (list, tuple)):
                 raise ValueError(
                     f"attack_type_scales must be a list, got {self.attack_type_scales!r}")
             self.attack_type_scales = tuple(
                 real("attack_type_scales", s) for s in self.attack_type_scales)
-        if self.rows < 4:
-            raise ValueError("rows must be at least 4")
         if not 0.0 < self.imbalance < 1.0:
             raise ValueError("imbalance must lie strictly between 0 and 1")
-        if min(self.n_informative, self.n_noise, self.n_categorical, self.n_boolean) < 0:
-            raise ValueError("feature counts must be non-negative")
         if self.n_informative + self.n_noise == 0:
             raise ValueError("need at least one numeric feature")
         if not 0.0 <= self.duplicate_rate < 1.0:
@@ -74,17 +68,7 @@ class SynthSpec:
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
         """A spec from a JSON object of its fields; a bad key or value fails naming the file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: synth spec must be a JSON object, got {raw!r}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"{path}: unknown synth spec key(s) {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return build(cls, read_json(path), path, "synth spec")
 
 
 @dataclass
@@ -101,9 +85,7 @@ class SynthResult:
     per_attack_counts: dict = field(default_factory=dict)
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def schema_for(spec: SynthSpec) -> DatasetSchema:

@@ -748,13 +748,13 @@ class TestFullPipeline:
             assert schema_from_file(path) == schema
 
     @pytest.mark.parametrize("doc, message", [
-        (["label"], "must hold a JSON object"),
-        ({"name": "x", "label": "y"}, r"unknown schema keys \['label'\]"),
+        (["label"], r"schema must be a JSON object, got \['label'\]"),
+        ({"name": "x", "label": "y"}, r"unknown schema key\(s\) \['label'\]"),
         ({"label_column": "y"}, "name"),
         ({"name": "x", "categorical_columns": ["proto"], "boolean_columns": ["proto"]},
          r"\['proto'\] appear in both categorical_columns and boolean_columns"),
         ({"name": "x", "identifier_columns": "flow_id"},
-         "identifier_columns must be a list of column names, got 'flow_id'"),
+         "identifier_columns must be a list of strings, got 'flow_id'"),
         ({"name": "x", "label_column": 5}, "label_column must be a string, got 5"),
         ({"name": "x", "identifier_columns": ["kind"], "attack_type_column": "kind"},
          "attack_type_column 'kind' is also in identifier_columns"),

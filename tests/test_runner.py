@@ -114,10 +114,15 @@ class TestConfig:
         ("models", {"models": "dt"}),
         ("models", {"models": ["nb", "nb"]}),
         ("fe_methods", {"fe_methods": ["pca", "full", "pca"]}),
+        ("dataset_path", {"dataset_path": 3}),  # a file descriptor to open() and close
+        ("dataset_path", {"dataset_path": None}),
+        ("schema_name", {"schema_name": ["synthetic"]}),
+        ("schema_file", {"schema_file": 3}),
+        ("output_dir", {"output_dir": ["out"]}),
     ], ids=lambda v: repr(v) if isinstance(v, dict) else v)
     def test_badly_typed_value_names_field(self, dataset, name, over):
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            ExperimentConfig(dataset_path=str(dataset), **over)
+            ExperimentConfig(**{"dataset_path": str(dataset), **over})
 
     def test_numpy_integers_accepted(self, dataset):
         cfg = ExperimentConfig(dataset_path=str(dataset), folds=np.int64(3), seed=np.int32(4),

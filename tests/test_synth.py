@@ -36,14 +36,29 @@ class TestSynthSpec:
         ({"attack_types": "dos"}, r"attack_types must be a list of strings, got 'dos'"),
         ({"attack_type_scales": [1.0, None, 2.0]},
          r"attack_type_scales must be a real number, got None"),
-        ({"n_boolean": -1}, r"feature counts must be non-negative"),
+        ({"n_boolean": -1}, r"n_boolean must be at least 0, got -1"),
+        ({"attack_types": ["dos", "dos"]},
+         r"attack_types must be a list without repeats, got \['dos', 'dos'\]"),
     ], ids=["unknown-key", "not-an-object", "string-rows", "string-separation",
-            "string-attack-types", "null-scale", "negative-count"])
+            "string-attack-types", "null-scale", "negative-count", "repeated-attack-type"])
     def test_from_file_names_the_file_and_key(self, tmp_path, doc, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             SynthSpec.from_file(path)
+
+    @pytest.mark.parametrize("attack_types, message", [
+        ((" dos", "scan"), "hold non-empty names without surrounding whitespace"),
+        (("dos\t", "scan"), "hold non-empty names without surrounding whitespace"),
+        (("", "scan"), "hold non-empty names without surrounding whitespace"),
+        (("dos", "dos", "scan"), "be a list without repeats"),
+    ], ids=["leading-space", "trailing-tab", "empty", "repeat"])
+    def test_attack_types_that_would_miscount_rejected(self, attack_types, message):
+        # ingest strips each attack-type cell, and per_attack_counts is keyed by name:
+        # " dos" would be recorded under a name the loaded file does not hold, and a
+        # repeat would record only its last entry's rows
+        with pytest.raises(ValueError, match=f"^attack_types must {message}"):
+            SynthSpec(attack_types=attack_types)
 
 
 class TestSchemaFor:
