@@ -28,6 +28,6 @@ from .evaluate import (
 )
 from .runner import ExperimentConfig, ResultRecord, best_per_model, run
 from .persist import load_model, save_model
-from .errors import DataFormatError, FlowbenchError, SchemaError, TrainingDiverged
+from .errors import DataFormatError, FlowbenchError, InputError, SchemaError, TrainingDiverged
 
 __version__ = "0.1.0"

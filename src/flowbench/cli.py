@@ -7,6 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .errors import FlowbenchError
 from .ingest import write_csv
 from .runner import ExperimentConfig, best_per_model, mean_records, read_manifest, run, write_outputs
 from .schema import schema_to_file
@@ -92,12 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; a bad or missing input exits with status 2 and one line on stderr.
+
+    The line holds the ``FlowbenchError`` or ``OSError`` message, as
+    argparse prints a bad flag's. Other exceptions keep their traceback.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FlowbenchError, OSError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

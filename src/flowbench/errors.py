@@ -16,6 +16,13 @@ class SchemaError(FlowbenchError):
     """A dataset schema is inconsistent or does not match the file."""
 
 
+class InputError(FlowbenchError, ValueError):
+    """A config, synth spec or manifest file is malformed or holds a bad value.
+
+    The message starts with the file's path.
+    """
+
+
 class DataFormatError(FlowbenchError):
     """A raw CSV cell or row violates the expected format.
 
@@ -46,7 +53,7 @@ class TrainingDiverged(FlowbenchError):
         self.batch = batch
 
 
-def read_json(path, error=ValueError):
+def read_json(path, error=InputError):
     """The JSON document in the file at ``path``; malformed JSON raises ``error`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -62,11 +69,12 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def build(cls, doc, source, what: str, error=ValueError):
+def build(cls, doc, source, what: str, error=InputError):
     """``cls(**doc)`` for ``doc``, the JSON form of a ``what`` read from ``source``.
 
     A non-object, an unknown or missing key, or a value that ``cls``
-    rejects raises ``error`` with a message that starts with ``source``.
+    rejects with a ``ValueError`` or ``error`` raises ``error`` with a
+    message that starts with ``source``.
     """
     if not isinstance(doc, dict):
         raise error(f"{source}: {what} must be a JSON object, got {doc!r}")
@@ -79,7 +87,7 @@ def build(cls, doc, source, what: str, error=ValueError):
         raise error(f"{source}: missing {what} key(s) {sorted(missing)}")
     try:
         return cls(**doc)
-    except error as exc:
+    except (ValueError, error) as exc:
         raise error(f"{source}: {exc}") from None
 
 
@@ -99,10 +107,22 @@ def real(name: str, value) -> float:
     return float(value)
 
 
-def string(name: str, value, optional: bool = False) -> None:
-    """Raises unless ``value`` is a string, or None when ``optional``."""
+def _bare(text: str) -> bool:
+    """Whether ``text`` is non-empty and has no surrounding whitespace."""
+    return bool(text) and text == text.strip()
+
+
+def string(name: str, value, optional: bool = False, bare: bool = False) -> None:
+    """Raises unless ``value`` is a string, or None when ``optional``.
+
+    When ``bare``, the string must also be non-empty without surrounding
+    whitespace, as every text that ingest compares with a stripped cell is.
+    """
     if not isinstance(value, str) and not (optional and value is None):
         raise ValueError(f"{name} must be a string{' or null' if optional else ''}, got {value!r}")
+    if bare and value is not None and not _bare(value):
+        raise ValueError(f"{name} must be non-empty without surrounding whitespace, "
+                         f"got {value!r}")
 
 
 def strings(name: str, value, unique: bool = True, choices=None) -> tuple[str, ...]:
@@ -114,7 +134,7 @@ def strings(name: str, value, unique: bool = True, choices=None) -> tuple[str, .
     """
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{name} must be a list of strings, got {value!r}")
-    if not all(v and v == v.strip() for v in value):
+    if not all(map(_bare, value)):
         raise ValueError(f"{name} must hold non-empty names without surrounding "
                          f"whitespace, got {value!r}")
     if unique and len(set(value)) < len(value):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
 from .evaluate import METRICS, RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
-from .errors import build, integer, read_json, real, string, strings
+from .errors import InputError, build, integer, read_json, real, string, strings
 from .extract import (
     PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, pca_width, variance_report,
@@ -107,7 +107,7 @@ class ExperimentConfig:
         if isinstance(raw, dict):
             raw = dict(raw)
             if (version := raw.pop("version", None)) != CONFIG_VERSION:
-                raise ValueError(f"{source}: config version must be {CONFIG_VERSION}, "
+                raise InputError(f"{source}: config version must be {CONFIG_VERSION}, "
                                  f"got {version!r}")
         return build(cls, raw, source, "config")
 
@@ -397,7 +397,7 @@ def read_manifest(run_dir) -> tuple[ExperimentConfig, dict, list[dict]]:
     if isinstance(raw, dict) and "fit_global" in raw:  # from before per-fold-only fitting
         raw = dict(raw)
         if raw.pop("fit_global"):
-            raise ValueError(f"{path}: run with fit_global, whose scaler and extractors "
+            raise InputError(f"{path}: run with fit_global, whose scaler and extractors "
                              "saw the test rows; rerun it")
     return ExperimentConfig.from_dict(raw, path), doc.completed, doc.dropped
 

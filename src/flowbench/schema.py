@@ -42,8 +42,9 @@ class DatasetSchema:
                 if isinstance(f.default, tuple):  # json gives a list
                     object.__setattr__(self, f.name, strings(f.name, value, unique=False))
                     roles[f.name] = set(value)
-                else:
-                    string(f.name, value, optional=f.default is None)
+                else:  # ingest strips each label cell before comparing it with a token
+                    string(f.name, value, optional=f.default is None,
+                           bare=f.name in ("positive_token", "benign_token"))
             groups = {**roles, "label": {self.label_column}}
             for a, b in combinations(groups, 2):
                 if overlap := groups[a] & groups[b]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -243,12 +244,40 @@ def test_cross_dataset_report(synth_csv, tmp_path):
     ]
 
 
+def exits_with_one_line(capsys, argv) -> str:
+    """The message of ``main(argv)``'s one stderr line, checked to exit with status 2."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flowbench: error: ") and err.endswith("\n") and err.count("\n") == 1
+    return err[len("flowbench: error: "):-1]
+
+
+@pytest.mark.parametrize("case", ["malformed-config", "missing-dataset", "bad-schema-file"])
+def test_input_error_is_one_line_and_status_2(synth_csv, tmp_path, capsys, case):
+    cfg_path = Path(_run_config(synth_csv, tmp_path, tmp_path / "out"))
+    config = json.loads(cfg_path.read_text())
+    if case == "malformed-config":
+        cfg_path.write_text('{"version": 1,')
+        named, what = cfg_path, "malformed JSON"
+    elif case == "missing-dataset":
+        named, what = tmp_path / "absent.csv", "No such file or directory"
+        cfg_path.write_text(json.dumps({**config, "dataset_path": str(named)}))
+    else:
+        named, what = tmp_path / "schema.json", "schema must be a JSON object"
+        named.write_text("[]")
+        cfg_path.write_text(json.dumps({**config, "schema_file": str(named)}))
+    line = exits_with_one_line(capsys, ["run", "--config", str(cfg_path)])
+    assert str(named) in line and what in line
+
+
 def test_missing_run_dir_fails(tmp_path):
     with pytest.raises(SystemExit):
         main(["report", "--in", str(tmp_path / "nope")])
 
 
-def test_report_checks_manifest_config_version(synth_csv, tmp_path):
+def test_report_checks_manifest_config_version(synth_csv, tmp_path, capsys):
     out_dir = tmp_path / "out"
     config = {
         "version": CONFIG_VERSION,
@@ -265,13 +294,13 @@ def test_report_checks_manifest_config_version(synth_csv, tmp_path):
     doc = json.loads(manifest.read_text())
     doc["config"]["version"] = 99
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version") as err:
-        main(["report", "--in", str(out_dir)])
-    assert str(manifest) in str(err.value)
+    assert exits_with_one_line(capsys, ["report", "--in", str(out_dir)]) == (
+        f"{manifest}: config version must be {CONFIG_VERSION}, got 99")
 
 
 @pytest.mark.parametrize("fit_global", [True, False])
-def test_report_on_run_from_before_per_fold_only_fitting(synth_csv, tmp_path, fit_global):
+def test_report_on_run_from_before_per_fold_only_fitting(synth_csv, tmp_path, fit_global,
+                                                        capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--config", _run_config(synth_csv, tmp_path, out_dir)]) == 0
     written = {name: (out_dir / name).read_bytes() for name in DERIVED}
@@ -283,9 +312,8 @@ def test_report_on_run_from_before_per_fold_only_fitting(synth_csv, tmp_path, fi
         (out_dir / name).unlink()
     shutil.rmtree(out_dir / "sweeps")
     if fit_global:  # its cells were fitted on the test rows too
-        with pytest.raises(ValueError, match="fit_global") as err:
-            main(["report", "--in", str(out_dir)])
-        assert str(manifest) in str(err.value)
+        assert exits_with_one_line(capsys, ["report", "--in", str(out_dir)]).startswith(
+            f"{manifest}: run with fit_global")
     else:
         assert main(["report", "--in", str(out_dir)]) == 0
         assert {name: (out_dir / name).read_bytes() for name in DERIVED} == written

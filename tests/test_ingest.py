@@ -388,18 +388,14 @@ class TestReferenceEquivalence:
 
 def streamed(columns, rows, schema, chunk_rows):
     """load_feature_matrix on the rows written as a CSV file, ``chunk_rows`` rows per chunk."""
-    saved = ingest.CHUNK_ROWS
-    ingest.CHUNK_ROWS = chunk_rows
-    try:
+    with mock.patch.object(ingest, "CHUNK_CELLS", chunk_rows * len(columns)):
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "t.csv"
             ingest.write_csv(path, columns, rows)
             return load_feature_matrix(path, schema)
-    finally:
-        ingest.CHUNK_ROWS = saved
 
 
-CHUNK_SIZES = [1, 3, ingest.CHUNK_ROWS]
+CHUNK_SIZES = [1, 3, 512]  # rows a chunk; 512 puts a table in one chunk, as CHUNK_CELLS does
 
 
 # The chunked stream on written tables against the per-cell reference loop
@@ -426,7 +422,7 @@ def test_streamed_same_error(chunk_rows, rows):
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"chunk{n}")
 def chunk_rows(request, monkeypatch):
-    monkeypatch.setattr(ingest, "CHUNK_ROWS", request.param)
+    monkeypatch.setattr(ingest, "CHUNK_CELLS", request.param * len(TINY_HEADER))
     return request.param
 
 
@@ -515,6 +511,25 @@ def test_peak_memory_is_a_few_output_matrices(tmp_path):
     assert peak < 5 * fm.values.nbytes
 
 
+@pytest.mark.parametrize("n_noise", [28, 76], ids=["48-columns", "96-columns"])
+def test_text_in_flight_is_bounded_whatever_the_width(tmp_path, n_noise):
+    # Chunks hold ingest.CHUNK_CELLS cells of text, so what the load holds
+    # beside its output does not grow with the width. Chunks of 512 rows
+    # held 3.2 MB at 48 columns and 6.4 MB at 96; these hold about 1.2 MB.
+    spec = SynthSpec(rows=3000, n_informative=8, n_noise=n_noise, duplicate_rate=0.02,
+                     dirty_rate=0.01)
+    path = tmp_path / "wide.csv"
+    synth_generate(spec, seed=3, path=path)
+    tracemalloc.start()
+    try:
+        fm, _ = load_feature_matrix(path, schema_for(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fm.n_features == n_noise + 12  # 8 informative, 2 categorical, 2 Boolean
+    assert peak - fm.values.nbytes - fm.labels.nbytes < 2_000_000
+
+
 def digest(hi: int, lo: int) -> bytes:
     """The 16 bytes that ``_DigestTable`` reads as the halves (hi, lo)."""
     return np.array([hi, lo], dtype=np.uint64).tobytes()
@@ -598,7 +613,7 @@ def test_streamed_with_every_hi_shared(chunk_rows, rows):
 
 
 def test_digest_table_holds_16_bytes_a_row():
-    n, c = 50_000, ingest.CHUNK_ROWS
+    n, c = 50_000, ingest.CHUNK_CELLS // 48  # a 48-column file's rows per chunk
     data = np.random.default_rng(0).integers(0, 2**64, (n, 2), dtype=np.uint64).tobytes()
     batches = [data[i:i + 16 * c] for i in range(0, len(data), 16 * c)]
 

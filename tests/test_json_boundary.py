@@ -5,17 +5,17 @@ import re
 
 import pytest
 
-from flowbench.errors import SchemaError
+from flowbench.errors import InputError, SchemaError
 from flowbench.runner import ExperimentConfig, _load_completed, read_manifest
 from flowbench.schema import DatasetSchema, schema_from_file
 from flowbench.synth import SynthSpec
 
 # (reader, the file it reads in a directory, the error it raises)
 READERS = {
-    "config": (ExperimentConfig.from_file, "cfg.json", ValueError),
-    "resume": (lambda path: _load_completed(path, "0" * 64), "manifest.json", ValueError),
-    "report": (lambda path: read_manifest(path.parent), "manifest.json", ValueError),
-    "synth-spec": (SynthSpec.from_file, "spec.json", ValueError),
+    "config": (ExperimentConfig.from_file, "cfg.json", InputError),
+    "resume": (lambda path: _load_completed(path, "0" * 64), "manifest.json", InputError),
+    "report": (lambda path: read_manifest(path.parent), "manifest.json", InputError),
+    "synth-spec": (SynthSpec.from_file, "spec.json", InputError),
     "schema": (schema_from_file, "schema.json", SchemaError),
 }
 
@@ -31,7 +31,9 @@ def test_bad_document_names_the_file(tmp_path, reader, text, message):
     path.write_text(text)
     with pytest.raises(error, match=f"^{re.escape(str(path))}: {message}") as info:
         read(path)
-    assert type(info.value) is error  # a SchemaError is no ValueError, nor the reverse
+    assert type(info.value) is error
+    # code that catches ValueError still catches an InputError; a SchemaError is no ValueError
+    assert isinstance(info.value, ValueError) == (error is InputError)
 
 
 @pytest.mark.parametrize("missing", ["version", "config_digest", "config", "completed"])
@@ -56,8 +58,12 @@ def test_manifest_without_a_key_names_the_file_and_key(tmp_path, reader, missing
      r"attack_type_column must be a string or null, got \['kind'\]"),
     ({"benign_token": 0}, "benign_token must be a string or null, got 0"),
     ({"name": None}, "name must be a string, got None"),
+    # ingest strips each label cell, so neither token could ever match
+    ({"positive_token": " attack"},
+     "positive_token must be non-empty without surrounding whitespace, got ' attack'"),
+    ({"benign_token": ""}, "benign_token must be non-empty without surrounding whitespace"),
 ], ids=["string-columns", "number-column", "padded-column", "number-label",
-        "list-attack-type", "number-benign", "null-name"])
+        "list-attack-type", "number-benign", "null-name", "padded-positive", "empty-benign"])
 def test_schema_built_in_code_is_checked_like_a_file(over, message):
     with pytest.raises(SchemaError, match=f"^schema .*: {message}"):
         DatasetSchema(**{"name": "x", **over})
