@@ -42,8 +42,6 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     all_records: list[dict] = []
     for run_dir in map(Path, args.run_dirs):
-        if not (run_dir / "manifest.json").exists():
-            raise SystemExit(f"{run_dir}: no manifest.json (is this a run directory?)")
         all_records.extend(write_outputs(run_dir, *read_manifest(run_dir)))
         print(f"wrote results.csv, sweeps/, best_per_model.csv and summary.txt -> {run_dir}")
     if len(args.run_dirs) > 1:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from hashlib import blake2b
 from itertools import chain, islice, repeat
@@ -155,13 +155,10 @@ class FeatureMatrix:
             attack_types=None if self.attack_types is None else self.attack_types[indices],
         )
 
-    def with_values(self, values, feature_names=None) -> "FeatureMatrix":
+    def with_values(self, values, feature_names) -> "FeatureMatrix":
         """Same rows/labels with transformed feature values."""
-        values = np.asarray(values, dtype=np.float64)
-        if feature_names is None:
-            feature_names = [f"z{i}" for i in range(values.shape[1])]
         return FeatureMatrix(
-            values=values,
+            values=np.asarray(values, dtype=np.float64),
             feature_names=list(feature_names),
             labels=self.labels,
             attack_types=self.attack_types,
@@ -267,11 +264,7 @@ def write_csv(path, header, rows) -> None:
 
 def _kept_columns(columns: list[str], schema: DatasetSchema):
     """(kept column names, row -> tuple of its kept cells), identifiers left out."""
-    drop = set(schema.identifier_columns) & set(columns)
-    skipped = set(schema.identifier_columns) - drop
-    if skipped:
-        log.info("identifier column(s) already absent: %s", sorted(skipped))
-    keep = [i for i, c in enumerate(columns) if c not in drop]
+    keep = [i for i, c in enumerate(columns) if c not in schema.identifier_columns]
     # itemgetter returns a bare cell, not a 1-tuple, for a single index
     take = itemgetter(*keep) if len(keep) > 1 else (lambda row: tuple(row[i] for i in keep))
     return [columns[i] for i in keep], take
@@ -513,13 +506,12 @@ class _MatrixBuilder:
     """The FeatureMatrix of a table's rows, parsed chunk by chunk.
 
     ``columns`` are the table's columns. The label and attack-type columns
-    are not features; Boolean columns parse each distinct token once; when
-    ``categorical`` is true, the schema's categorical columns get first-seen
-    ids, which ``finish`` remaps to their lexicographic codes; every other
-    column is numeric.
+    are not features; Boolean columns parse each distinct token once; the
+    schema's categorical columns get first-seen ids, which ``finish`` remaps
+    to their lexicographic codes; every other column is numeric.
     """
 
-    def __init__(self, columns: list[str], schema: DatasetSchema, categorical: bool = False):
+    def __init__(self, columns: list[str], schema: DatasetSchema):
         self.columns = columns
         self.schema = schema
         label = _column_index(columns, schema.label_column)
@@ -529,7 +521,7 @@ class _MatrixBuilder:
         self.features = [i for i in range(len(columns)) if i not in (label, attack)]
         self.position = {i: j for j, i in enumerate(self.features)}
         # column index -> category -> first-seen id
-        self.categories = {i: {} for i in _categorical(columns, schema)} if categorical else {}
+        self.categories = {i: {} for i in _categorical(columns, schema)}
         bools = {c for c in schema.boolean_columns if c in columns}
         self.booleans = [i for i in self.features if columns[i] in bools]
         self.numeric = [i for i in self.features
@@ -610,7 +602,8 @@ def clean_values(table: RawTable, schema: DatasetSchema) -> FeatureMatrix:
     the label column maps to {0,1}. Attack-type strings, when declared, are
     carried through unchanged for the per-attack detection-rate breakdown.
     """
-    builder = _MatrixBuilder(table.columns, schema)
+    # the categorical cells already hold their codes' text: parse them as numbers
+    builder = _MatrixBuilder(table.columns, replace(schema, categorical_columns=()))
     builder.add(table.rows, range(table.n_rows) if table.source_rows is None
                 else table.source_rows)
     return builder.finish()[0]
@@ -630,7 +623,7 @@ def load_feature_matrix(
         reader = csv.reader(fh)
         header = _read_header(reader, path, schema)
         columns, take = _kept_columns(header, schema)
-        builder = _MatrixBuilder(columns, schema, categorical=True)
+        builder = _MatrixBuilder(columns, schema)
         digests = _DigestTable()
         n_read = 0
         error = None

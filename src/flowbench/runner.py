@@ -38,7 +38,7 @@ from .classifiers import ALL_KINDS, ClassifierSpec, fit_classifier
 from .evaluate import METRICS, RocCurve, aggregate_folds, evaluate, per_attack_dr, roc_auc
 from .errors import InputError, build, integer, read_json, real, string, strings
 from .extract import (
-    PcaModel, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
+    PcaModel, VarianceReport, ae_encode, ae_fit, lda_fit, lda_transform, pca_fit, pca_transform,
     pca_truncate, pca_width, variance_report,
 )
 from .ingest import FeatureMatrix, load_feature_matrix, write_csv
@@ -127,9 +127,9 @@ class ExperimentConfig:
         return doc
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
+        """A hash of every field but ``output_dir``: where cells are written never decides them."""
+        doc = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(seed=seed, **self.train)
@@ -360,39 +360,44 @@ class Manifest:
     completed: dict
     dropped: list = field(default_factory=list)  # absent before dropped groups were recorded
 
+    @classmethod
+    def read(cls, run_dir) -> "Manifest":
+        """The run directory's manifest.json; a missing or malformed one raises naming it."""
+        path = Path(run_dir) / "manifest.json"
+        return build(cls, read_json(path), path, "manifest")
 
-def _load_completed(path: Path, digest: str) -> dict[str, dict]:
-    """The completed cells of the manifest at ``path`` if its config digest is ``digest``.
+    def write(self, run_dir) -> None:
+        """Replace the run directory's manifest.json through a tmp file, its fields in order."""
+        path = Path(run_dir) / "manifest.json"
+        tmp = path.with_suffix(".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(vars(self)))  # json.dump never uses the C encoder
+        tmp.replace(path)
+
+
+def _load_completed(run_dir: Path, digest: str) -> dict[str, dict]:
+    """The completed cells of the run directory's manifest if its config digest is ``digest``.
 
     A manifest of another config is discarded with the ``roc/`` and
     ``sweeps/`` CSVs of its run, which the fresh run might not rewrite.
     """
-    if not path.exists():
+    if not (run_dir / "manifest.json").exists():
         return {}
-    doc = build(Manifest, read_json(path), path, "manifest")
+    doc = Manifest.read(run_dir)
     if doc.config_digest != digest:
         log.warning("manifest does not match this config; starting fresh")
         for stale in ("roc", "sweeps"):
-            for csv_path in (path.parent / stale).glob("*.csv"):
+            for csv_path in (run_dir / stale).glob("*.csv"):
                 csv_path.unlink()
         return {}
     log.info("resuming: %d cell(s) already complete", len(doc.completed))
     return doc.completed
 
 
-def _flush_manifest(path: Path, header: dict, completed: dict, dropped: list[dict]) -> None:
-    """Write the manifest: ``header`` (the run's config block), then the cells and the drops."""
-    doc = {**header, "completed": completed, "dropped": dropped}
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))  # json.dump never uses the C encoder
-    tmp.replace(path)
-
-
 def read_manifest(run_dir) -> tuple[ExperimentConfig, dict, list[dict]]:
     """The config, the completed cells and the dropped groups recorded in a run directory."""
     path = Path(run_dir) / "manifest.json"
-    doc = build(Manifest, read_json(path), path, "manifest")
+    doc = Manifest.read(run_dir)
     raw = doc.config
     if isinstance(raw, dict) and "fit_global" in raw:  # from before per-fold-only fitting
         raw = dict(raw)
@@ -402,23 +407,18 @@ def read_manifest(run_dir) -> tuple[ExperimentConfig, dict, list[dict]]:
     return ExperimentConfig.from_dict(raw, path), doc.completed, doc.dropped
 
 
-def _write_variance_reports(fm: FeatureMatrix, out_dir: Path, dataset: str) -> None:
+def _variance_reports(fm: FeatureMatrix) -> list[VarianceReport]:
     """Descriptive per-dimension variance of PCA/LDA on the whole scaled
     dataset: the only fits on all rows, which feed no cell."""
-    var_dir = out_dir / "variance"
-    var_dir.mkdir(exist_ok=True)
     scaled = apply_scaler(fm, fit_scaler(fm))
+    reports = []
     if (width := pca_width(fm.n_samples, fm.n_features)) >= 1:
         pca = pca_fit(scaled, width)
-        report = variance_report(
-            pca_transform(scaled, pca), "pca", total_variance=pca.total_variance
-        )
-        report.dump_csv(var_dir / f"{dataset}_pca.csv")
+        reports.append(variance_report(pca_transform(scaled, pca), "pca",
+                                       total_variance=pca.total_variance))
     if 0 < scaled.labels.sum() < scaled.n_samples:  # both classes
-        lda = lda_fit(scaled)
-        variance_report(lda_transform(scaled, lda), "lda").dump_csv(
-            var_dir / f"{dataset}_lda.csv"
-        )
+        reports.append(variance_report(lda_transform(scaled, lda_fit(scaled)), "lda"))
+    return reports
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -433,33 +433,37 @@ def ProcessPoolExecutor(max_workers: int):
 
 def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Execute the sweep; returns the ordered result records (as dicts)."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "roc").mkdir(exist_ok=True)
-
+    # every input resolves before output_dir is created, so a bad input writes nothing
     fm = load_dataset(config)
-    _write_variance_reports(fm, out_dir, config.schema_name)
-    plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
+    variance = _variance_reports(fm)
+    try:
+        plan = stratified_kfold(fm, config.folds, derive_seed(config.seed, "folds"))
+    except ValueError as exc:
+        raise InputError(f"{config.dataset_path}: cannot split into folds={config.folds}: "
+                         f"{exc}") from None
     n_train = fm.n_samples - int(np.bincount(plan.assignments, minlength=plan.k).max())
     groups, dropped = _group_plan(config, fm.n_features, n_train)
     for group in dropped:
         log.warning("dropped %s:%s: %s", group["fe"], group["dims"], group["reason"])
-    manifest = out_dir / "manifest.json"
-    # the manifest's config block, the same at every flush
-    header = {"version": CONFIG_VERSION, "config_digest": config.digest(),
-              "config": config.to_dict()}
-    completed = _load_completed(manifest, header["config_digest"])
+    out_dir = Path(config.output_dir)
+    for name in ("roc", "variance"):
+        (out_dir / name).mkdir(parents=True, exist_ok=True)
+    for report in variance:
+        report.dump_csv(out_dir / "variance" / f"{config.schema_name}_{report.method}.csv")
+    digest = config.digest()
+    manifest = Manifest(CONFIG_VERSION, digest, config.to_dict(),
+                        _load_completed(out_dir, digest), dropped)
 
     def finish_group(fe, dims, cells):
         for model, (payload, curve) in cells.items():
             if curve is not None:
                 curve.dump_csv(out_dir / "roc" / f"{fe}_{dims}_{model}.csv")
-            completed[f"{fe}:{dims}:{model}"] = payload
-        _flush_manifest(manifest, header, completed, dropped)
+            manifest.completed[f"{fe}:{dims}:{model}"] = payload
+        manifest.write(out_dir)
 
     todo = []
     for fe, dims in groups:
-        pending = [m for m in config.models if f"{fe}:{dims}:{m}" not in completed]
+        pending = [m for m in config.models if f"{fe}:{dims}:{m}" not in manifest.completed]
         if pending:
             todo.append((fe, dims, pending))
     with_pca = any(fe == "pca" for fe, _, _ in todo)
@@ -479,33 +483,29 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             log.info("group fe=%s dims=%s: %d model(s)", fe, dims, len(pending))
             finish_group(fe, dims, run_group(fe, dims, config, fm, fold_fits, pending))
 
-    return write_outputs(out_dir, config, completed, dropped)
+    return write_outputs(out_dir, config, manifest.completed, dropped)
 
 
 def mean_records(records: list[dict]) -> list[dict]:
     return [r for r in records if r["fold"] == "mean" and r["status"] == "ok"]
 
 
+def _ranked(records: list[dict]) -> list[dict]:
+    """The ok mean rows, best first: the highest AUC, then fewer dims, then model and FE name."""
+    return sorted(mean_records(records), key=lambda r: (-r["auc"], r["dims"], r["model"], r["fe"]))
+
+
 def best_per_model(records: list[dict]) -> list[dict]:
-    """Per (model, fe, dataset): the mean row with maximal AUC; ties pick fewer dims."""
+    """Per (model, fe, dataset), in that key's order: its first row under ``_ranked``."""
     best: dict[tuple[str, str, str], dict] = {}
-    for rec in mean_records(records):
-        key = (rec["model"], rec["fe"], rec["dataset"])
-        cur = best.get(key)
-        if (
-            cur is None
-            or rec["auc"] > cur["auc"]
-            or (rec["auc"] == cur["auc"] and rec["dims"] < cur["dims"])
-        ):
-            best[key] = rec
+    for rec in _ranked(records):
+        best.setdefault((rec["model"], rec["fe"], rec["dataset"]), rec)
     return [best[k] for k in sorted(best)]
 
 
 def best_overall(records: list[dict]) -> dict | None:
-    ranked = sorted(
-        mean_records(records), key=lambda r: (-r["auc"], r["dims"], r["model"], r["fe"])
-    )
-    return ranked[0] if ranked else None
+    """The first row under ``_ranked``; None without an ok mean row."""
+    return next(iter(_ranked(records)), None)
 
 
 def best_per_attack(records: list[dict], completed: dict) -> dict | None:
@@ -551,9 +551,10 @@ def write_outputs(out_dir, config: ExperimentConfig, completed: dict,
         rows = sorted(rows, key=lambda r: (r["fe"], r["dims"]))
         write_csv(sweep_dir / f"{rows[0]['dataset']}_{model}.csv", SWEEP_COLUMNS,
                   ([r[col] for col in SWEEP_COLUMNS] for r in rows))
+    best = best_per_model(records)
     write_csv(out_dir / "best_per_model.csv", BEST_COLUMNS,
-              ([r[col] for col in BEST_COLUMNS] for r in best_per_model(records)))
-    summary = render_summary(records, best_per_attack(records, completed), dropped,
+              ([r[col] for col in BEST_COLUMNS] for r in best))
+    summary = render_summary(records, best, best_per_attack(records, completed), dropped,
                              pca_dims_reaching(out_dir / "variance" / f"{config.schema_name}_pca.csv"))
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     return records
@@ -584,11 +585,10 @@ def _pct(x) -> str:
     return f"{100.0 * x:.2f}%" if x is not None else ""
 
 
-def render_summary(records: list[dict], per_attack: dict | None,
+def render_summary(records: list[dict], best: list[dict], per_attack: dict | None,
                    dropped: list[dict], pca_dims: list[tuple[float, int | None]] | None) -> str:
-    """Text tables mirroring the benchmark's reporting format."""
+    """Text tables mirroring the benchmark's reporting format; ``best`` is ``best_per_model``'s."""
     lines = []
-    best = best_per_model(records)
     lines.append("Best result per (model, FE) by AUC")
     lines.append("")
     header = f"{'ML':<5} {'FE':<5} {'DIM':>4} {'ACC':>8} {'F1':>6} {'DR':>8} {'FAR':>8} {'AUC':>7}"

@@ -254,7 +254,8 @@ def exits_with_one_line(capsys, argv) -> str:
     return err[len("flowbench: error: "):-1]
 
 
-@pytest.mark.parametrize("case", ["malformed-config", "missing-dataset", "bad-schema-file"])
+@pytest.mark.parametrize("case", ["malformed-config", "missing-dataset", "bad-schema-file",
+                                  "impossible-fold-plan"])
 def test_input_error_is_one_line_and_status_2(synth_csv, tmp_path, capsys, case):
     cfg_path = Path(_run_config(synth_csv, tmp_path, tmp_path / "out"))
     config = json.loads(cfg_path.read_text())
@@ -264,12 +265,23 @@ def test_input_error_is_one_line_and_status_2(synth_csv, tmp_path, capsys, case)
     elif case == "missing-dataset":
         named, what = tmp_path / "absent.csv", "No such file or directory"
         cfg_path.write_text(json.dumps({**config, "dataset_path": str(named)}))
-    else:
+    elif case == "bad-schema-file":
         named, what = tmp_path / "schema.json", "schema must be a JSON object"
         named.write_text("[]")
         cfg_path.write_text(json.dumps({**config, "schema_file": str(named)}))
+    else:  # 8 rows hold fewer than 5 rows of the minority class
+        named, what = synth_csv, "cannot split into folds=5: a class has fewer than k=5 samples"
+        cfg_path.write_text(json.dumps({**config, "folds": 5, "subsample": 8}))
     line = exits_with_one_line(capsys, ["run", "--config", str(cfg_path)])
     assert str(named) in line and what in line
+    assert not (tmp_path / "out").exists()  # inputs resolve before anything is written
+
+
+def test_report_on_a_directory_without_a_manifest(tmp_path, capsys):
+    run_dir = tmp_path / "not-a-run"
+    run_dir.mkdir()
+    line = exits_with_one_line(capsys, ["report", "--in", str(run_dir)])
+    assert str(run_dir / "manifest.json") in line and "No such file or directory" in line
 
 
 def test_missing_run_dir_fails(tmp_path):

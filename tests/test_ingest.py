@@ -651,6 +651,14 @@ def test_load_logs_what_it_dropped(tmp_path, caplog):
     assert f"{path}: read 6 rows, dropped 3 duplicate rows, kept 3" in caplog.messages
 
 
+def test_load_logs_an_absent_identifier_column_once(tmp_path, caplog):
+    path = write_csv(tmp_path / "t.csv", TINY_HEADER[1:], [r[1:] for r in tiny_rows()])
+    with caplog.at_level("INFO", logger="flowbench.ingest"):
+        load_feature_matrix(path, TINY)
+    assert caplog.messages == [f"{path}: identifier column(s) ['fid'] not present",
+                               f"{path}: read 3 rows, dropped 0 duplicate rows, kept 3"]
+
+
 class TestFeatureMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

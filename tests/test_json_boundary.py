@@ -13,7 +13,7 @@ from flowbench.synth import SynthSpec
 # (reader, the file it reads in a directory, the error it raises)
 READERS = {
     "config": (ExperimentConfig.from_file, "cfg.json", InputError),
-    "resume": (lambda path: _load_completed(path, "0" * 64), "manifest.json", InputError),
+    "resume": (lambda path: _load_completed(path.parent, "0" * 64), "manifest.json", InputError),
     "report": (lambda path: read_manifest(path.parent), "manifest.json", InputError),
     "synth-spec": (SynthSpec.from_file, "spec.json", InputError),
     "schema": (schema_from_file, "schema.json", SchemaError),

@@ -65,6 +65,11 @@ class TestConfig:
         assert cfg.dimensions == DEFAULT_DIMENSIONS
         assert cfg.folds == 5
 
+    def test_digest_leaves_out_the_output_dir(self, dataset):
+        config = ExperimentConfig(dataset_path=str(dataset), output_dir="out")
+        assert replace(config, output_dir="./out").digest() == config.digest()
+        assert replace(config, seed=1).digest() != config.digest()
+
     def test_validation(self, dataset):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_path=str(dataset), fe_methods=("magic",))
@@ -318,6 +323,21 @@ class TestRun:
         a = (tmp_path / "full" / "results.csv").read_bytes()
         b = (tmp_path / "resumed" / "results.csv").read_bytes()
         assert a == b
+
+    def test_rerun_into_the_same_dir_spelled_otherwise_fits_nothing(self, dataset, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(small_config(dataset, "out"))
+        results = (tmp_path / "out" / "results.csv").read_bytes()
+        curves = sorted(p.name for p in (tmp_path / "out" / "roc").iterdir())
+        fitted = []
+        real_fit = runner_mod.fit_classifier
+        monkeypatch.setattr(runner_mod, "fit_classifier",
+                            lambda *args: fitted.append(args) or real_fit(*args))
+        run(small_config(dataset, "./out"))
+        assert fitted == []
+        assert (tmp_path / "out" / "results.csv").read_bytes() == results
+        assert sorted(p.name for p in (tmp_path / "out" / "roc").iterdir()) == curves
 
     def test_fresh_start_drops_the_other_configs_curves(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -779,3 +799,17 @@ class TestBestSelection:
     def test_best_overall(self):
         records = [self.rec("dt", "pca", 10, 0.93), self.rec("nb", "lda", 1, 0.97)]
         assert best_overall(records)["model"] == "nb"
+
+    def test_planted_tie_goes_to_fewer_dims_then_model_then_fe(self):
+        records = [self.rec("nb", "pca", 5, 0.97), self.rec("nb", "full", 1, 0.97),
+                   self.rec("dt", "pca", 1, 0.97), self.rec("nb", "pca", 3, 0.97),
+                   self.rec("dt", "lda", 1, 0.97), self.rec("dt", "pca", 2, 0.97)]
+        assert [(r["model"], r["fe"], r["dims"]) for r in best_per_model(records)] == [
+            ("dt", "lda", 1), ("dt", "pca", 1), ("nb", "full", 1), ("nb", "pca", 3)]
+        top = best_overall(records)
+        assert (top["model"], top["fe"], top["dims"]) == ("dt", "lda", 1)
+        assert best_overall(records[:1] + records[3:4]) is records[3]
+
+    def test_no_ok_mean_row_has_no_best(self):
+        assert best_overall([{**self.rec("dt", "pca", 1, None), "status": "failed"}]) is None
+        assert best_per_model([]) == []
